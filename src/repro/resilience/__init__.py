@@ -39,7 +39,6 @@ from repro.resilience.faults import (
     SERVICE_INGEST,
     SERVICE_QUERY,
     SERVICE_SHUTDOWN,
-    SHARD_APPLY,
     SNAPSHOT_WRITE,
     STREAM_READ,
     FaultInjector,
@@ -84,7 +83,6 @@ __all__ = [
     "SNAPSHOT_WRITE",
     "CACHE_READ",
     "FETCH",
-    "SHARD_APPLY",
     "SERVICE_INGEST",
     "SERVICE_QUERY",
     "SERVICE_SHUTDOWN",

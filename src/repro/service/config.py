@@ -30,7 +30,11 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from repro.exceptions import ServiceError
-from repro.experiments.runner import available_algorithms, supports_snapshots
+from repro.experiments.runner import (
+    algorithm_options,
+    available_algorithms,
+    supports_snapshots,
+)
 from repro.resilience.supervisor import RetryPolicy
 from repro.workloads.replay import CheckpointConfig
 
@@ -81,7 +85,8 @@ class TenantSpec:
         Optional engine snapshot to warm-start from when no checkpoint
         exists yet (first boot of a pre-loaded tenant).
     options:
-        Extra ``create_algorithm`` options (``k``, ``workers``, ...).
+        Extra ``create_algorithm`` options (``k``, ``lazy``, ...); keys the
+        algorithm's constructor does not accept are rejected at config load.
     """
 
     name: str
@@ -110,6 +115,13 @@ class TenantSpec:
                 f"tenant {self.name!r}: algorithm {self.algorithm!r} does not "
                 "support snapshots, so it can be neither checkpointed nor "
                 "crash-recovered"
+            )
+        accepted = algorithm_options(self.algorithm)
+        unknown = sorted(set(self.options) - accepted)
+        if unknown:
+            raise ServiceError(
+                f"tenant {self.name!r}: unknown option(s) {unknown} for "
+                f"algorithm {self.algorithm!r}; accepted: {sorted(accepted)}"
             )
         if self.batch_size < 1:
             raise ServiceError(f"tenant {self.name!r}: batch_size must be >= 1")

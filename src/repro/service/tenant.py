@@ -24,10 +24,8 @@ Responsibilities, and how they compose:
   process death, unlike a hashing cursor's in-memory state) and service
   metadata so a warm start can refuse a config-mismatched checkpoint.
 * **Supervision** (:meth:`run`): a crashed engine (injected fault, I/O
-  error, integrity violation) is released (worker pools and shared memory
-  freed deterministically — see
-  :func:`~repro.experiments.runner.release_engine`), restored from the
-  newest *valid* checkpoint and brought back to the exact pre-crash state
+  error, integrity violation) is dropped, restored from the newest *valid*
+  checkpoint and brought back to the exact pre-crash state
   by replaying the in-memory replay buffer with the **original batch
   boundaries** — recovery is bit-identical and invisible to clients, while
   other tenants keep serving.
@@ -44,7 +42,7 @@ from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.exceptions import OverloadedError, ServiceError
-from repro.experiments.runner import create_algorithm, release_engine
+from repro.experiments.runner import create_algorithm
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.resilience.faults import SERVICE_INGEST, SERVICE_SHUTDOWN, trip
 from repro.resilience.supervisor import RECOVERABLE, RetryPolicy
@@ -236,11 +234,8 @@ class Tenant:
         """
         if self.engine is None:
             raise ServiceError(f"tenant {self.spec.name!r} engine is down")
-        # ShardedEngine delegates fork() to its inner engine; the throwaway
-        # branch is always a plain single-process fork.
-        engine = getattr(self.engine, "snapshot_delegate", self.engine)
-        before = set(engine.solution())
-        fork = engine.fork()
+        before = set(self.engine.solution())
+        fork = self.engine.fork()
         if operations:
             fork.apply_batch(list(operations), coalesce=True)
         after = set(fork.solution())
@@ -332,14 +327,8 @@ class Tenant:
                 raise
 
     def _release(self) -> None:
-        """Free the engine's external resources *now* (shared memory, worker
-        pools), not whenever the garbage collector gets around to it."""
-        if self.engine is not None:
-            engine, self.engine = self.engine, None
-            try:
-                release_engine(engine)
-            except Exception:  # pragma: no cover - best-effort cleanup
-                pass
+        """Drop the tenant's reference to its (crashed or retired) engine."""
+        self.engine = None
 
     def _bootstrap(self) -> None:
         """Warm-start priority: newest valid checkpoint > snapshot > fresh."""

@@ -68,8 +68,6 @@ from repro.updates.protocol import (
     OperationStream,
     decode_operation,
     encode_operation,
-    prefetch_chunks,
-    prefetch_enabled,
 )
 from repro.workloads.snapshot import atomic_writer
 
@@ -679,16 +677,7 @@ class CachedOperationStream(OperationStream):
         self._length = int(header["num_operations"])
         self._body_sha256 = header.get("body_sha256")
 
-    def _chunks(self) -> Iterator[List[UpdateOperation]]:
-        """Read, verify and decode the cache body one chunk line at a time.
-
-        All per-chunk work — file I/O, the ``cache.read`` fault point, the
-        incremental body digest and JSON decode — lives here, so the whole
-        pipeline stage can run either inline (the synchronous path) or one
-        chunk ahead on the prefetch thread without duplicating any of the
-        integrity logic.  The end-of-stream count and digest checks run
-        after the last chunk, inside the same stage.
-        """
+    def __iter__(self) -> Iterator[UpdateOperation]:
         count = 0
         body_digest = hashlib.sha256() if self._body_sha256 is not None else None
         with self.path.open("r", encoding="utf-8") as handle:
@@ -717,7 +706,7 @@ class CachedOperationStream(OperationStream):
                         f"({exc!r}); delete the file to rebuild it from the "
                         "source dataset"
                     ) from exc
-                yield decoded
+                yield from decoded
                 count += len(decoded)
         if count != self._length:
             raise GraphError(
@@ -733,18 +722,6 @@ class CachedOperationStream(OperationStream):
                 "from the source dataset",
                 source=self.path,
             )
-
-    def __iter__(self) -> Iterator[UpdateOperation]:
-        chunks = self._chunks()
-        if prefetch_enabled():
-            # Pipelined ingest: the next chunk is read + digested + decoded
-            # on a background thread while the consumer's repair pass works
-            # through the current one.  Delivery order, fingerprints and
-            # error boundaries are identical to the inline path.
-            chunks = prefetch_chunks(chunks)
-        for decoded in chunks:
-            for operation in decoded:
-                yield operation
 
     def length_hint(self) -> Optional[int]:
         return self._length

@@ -23,7 +23,6 @@ slots mid-stream.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -35,9 +34,6 @@ from repro.generators.random_graphs import gnm_random_graph
 from repro.updates.coalesce import coalesce_batch
 from repro.updates.operations import apply_update
 from repro.updates.streams import flash_crowd_stream, mixed_update_stream
-
-# Every batched-contract case runs under both kernel backends (see conftest).
-pytestmark = pytest.mark.usefixtures("kernel_backend")
 
 
 def _assert_batch_contract(algorithm_class, check_k, graph, stream, batch_size, **kwargs):

@@ -10,19 +10,23 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.one_swap import DyOneSwap
 from repro.exceptions import CheckpointError, ExperimentError
 from repro.experiments import (
     load_temporal_workload,
     run_algorithm,
     run_competition,
 )
+from repro.generators.random_graphs import gnm_random_graph
 from repro.updates.streams import UpdateStream
 from repro.workloads import (
     CheckpointConfig,
     find_checkpoints,
     latest_checkpoint,
     load_checkpoint,
+    save_checkpoint,
 )
+from repro.workloads.replay import invalidate_prune_ledger
 from repro.workloads.snapshot import graph_to_payload
 
 
@@ -364,3 +368,57 @@ class TestWallClockCheckpointing:
         checkpoints = find_checkpoints(tmp_path, "DyOneSwap")
         assert len(checkpoints) >= 2  # periodic, not just end-of-stream
         assert checkpoints[0][0] < measurement.num_updates
+
+
+class TestPruneLedger:
+    def _save(self, engine, config, processed):
+        return save_checkpoint(
+            engine,
+            config,
+            algorithm_name="DyOneSwap",
+            processed=processed,
+            initial_size=0,
+        )
+
+    def test_incremental_keep_matches_a_fresh_scan(self, tmp_path):
+        engine = DyOneSwap(gnm_random_graph(12, 18, seed=1))
+        config = CheckpointConfig(directory=tmp_path, every=1, keep=2)
+        for step in range(1, 7):
+            self._save(engine, config, step)
+            survivors = find_checkpoints(tmp_path, "DyOneSwap")
+            expected = [max(1, step - 1), step][: step if step < 2 else 2]
+            assert [processed for processed, _ in survivors] == expected
+
+    def test_external_deletion_triggers_a_rescan(self, tmp_path):
+        engine = DyOneSwap(gnm_random_graph(12, 18, seed=2))
+        config = CheckpointConfig(directory=tmp_path, every=1, keep=2)
+        for step in (1, 2, 3):
+            self._save(engine, config, step)
+        # Another process empties the directory behind the ledger's back.
+        for _, path in find_checkpoints(tmp_path, "DyOneSwap"):
+            path.unlink()
+        # The next pruning write notices its victim is gone, drops the
+        # stale ledger entry and rebuilds from disk — no crash, and the
+        # retention invariant holds against reality, not the cached view.
+        self._save(engine, config, 4)
+        self._save(engine, config, 5)
+        self._save(engine, config, 6)
+        assert [
+            processed for processed, _ in find_checkpoints(tmp_path, "DyOneSwap")
+        ] == [5, 6]
+
+    def test_invalidate_prune_ledger(self, tmp_path):
+        engine = DyOneSwap(gnm_random_graph(12, 18, seed=3))
+        config = CheckpointConfig(directory=tmp_path, every=1, keep=3)
+        for step in (1, 2, 3):
+            self._save(engine, config, step)
+        invalidate_prune_ledger(tmp_path)  # forget one directory
+        self._save(engine, config, 4)
+        assert [
+            processed for processed, _ in find_checkpoints(tmp_path, "DyOneSwap")
+        ] == [2, 3, 4]
+        invalidate_prune_ledger()  # forget everything
+        self._save(engine, config, 5)
+        assert [
+            processed for processed, _ in find_checkpoints(tmp_path, "DyOneSwap")
+        ] == [3, 4, 5]

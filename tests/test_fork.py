@@ -13,8 +13,6 @@ independent oracle:
   been forked at all,
 * **chains** — forks of forks keep both properties; each hop shares
   structure with its parent and privatizes only what it touches.
-
-Every case runs under both ``REPRO_KERNELS`` backends (see conftest).
 """
 
 from __future__ import annotations
@@ -35,8 +33,6 @@ from repro.graphs.dynamic_graph import DynamicGraph
 from repro.updates.operations import UpdateOperation
 from repro.updates.streams import mixed_update_stream
 from repro.workloads.snapshot import algorithm_to_payload
-
-pytestmark = pytest.mark.usefixtures("kernel_backend")
 
 CONFIGURATIONS = [
     (algorithm_class, lazy)
@@ -198,21 +194,6 @@ class TestForkMechanics:
             parent.fork()
         parent._candidates[1].clear()
         parent.fork()  # drained again: fork allowed
-
-    def test_sharded_engine_forks_via_inner(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-        from repro.core.sharded import ShardedEngine
-
-        inner = _build(DyOneSwap, False, 9, 13, churn=20)
-        sharded = ShardedEngine(inner, workers=2)
-        try:
-            fork = sharded.fork()
-            # The throwaway branch is a plain single-process engine — the
-            # right engine for what-if queries, never a second worker pool.
-            assert isinstance(fork, DyOneSwap)
-            assert _payload_bytes(fork) == _payload_bytes(inner)
-        finally:
-            sharded.close()
 
     def test_fork_preserves_instance_counters(self):
         from repro.core.framework import KSwapFramework

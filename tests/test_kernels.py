@@ -1,305 +1,92 @@
-"""The vectorized kernel layer's contract: bit-identical to pure Python.
+"""The bulk validators' contract: first error wins, exactly as a sequential loop.
 
-:mod:`repro.core.kernels` provides every bulk sweep twice — a stdlib-only
-python backend (the differential oracle) and a numpy backend — and promises
-they are **bit-identical**: same results, same error type at the same
-offending pair, for any input.  These tests state that contract directly
-(hypothesis driving both paths on the same inputs), pin the backend
-resolution rules (``REPRO_KERNELS``), and pin the zero-copy design
-invariant that no kernel call leaves a buffer export alive on the
-authoritative ``bytearray``.
+:func:`repro.core.kernels.validate_edge_insertions` and
+:func:`~repro.core.kernels.validate_edge_deletions` check a whole pair list
+before any mutation and must raise what applying the pairs one by one
+would have raised first — same error type, same offending pair — or
+nothing when every pair would apply.  Hypothesis drives both sides on the
+same inputs; the reference applies the batch edge by edge to a copy of the
+graph.  ``tests/test_bulk_atomicity.py`` pins the other half of the
+contract: a rejected batch leaves the state byte-identical.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels
-from repro.core.partition import (
-    classify_deletion_pairs,
-    classify_insertion_pairs,
-)
 from repro.exceptions import EdgeExistsError, EdgeNotFoundError, SelfLoopError
 from repro.graphs.dynamic_graph import DynamicGraph
 
-requires_numpy = pytest.mark.skipif(
-    not kernels.numpy_available(), reason="numpy is not installed"
+NUM_SLOTS = 12
+
+slot_pairs = st.lists(
+    st.tuples(st.integers(0, NUM_SLOTS - 1), st.integers(0, NUM_SLOTS - 1)),
+    min_size=0,
+    max_size=40,
+)
+
+SETTINGS = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
 )
 
 
-@pytest.fixture
-def forced_numpy():
-    """Force the numpy backend with every sweep vectorized (threshold 2)."""
-    if not kernels.numpy_available():
-        pytest.skip("numpy is not installed")
-    previous = kernels.backend()
-    previous_min = kernels.VECTOR_MIN_PAIRS
-    kernels.set_backend(kernels.NUMPY)
-    kernels.VECTOR_MIN_PAIRS = 2
-    try:
-        yield
-    finally:
-        kernels.VECTOR_MIN_PAIRS = previous_min
-        kernels.set_backend(previous)
-
-
-# --------------------------------------------------------------------- #
-# Backend resolution
-# --------------------------------------------------------------------- #
-class TestBackendResolution:
-    def test_default_resolution_matches_availability(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        expected = kernels.NUMPY if kernels.numpy_available() else kernels.PYTHON
-        assert kernels._resolve_default() == expected
-        monkeypatch.setenv("REPRO_KERNELS", "auto")
-        assert kernels._resolve_default() == expected
-
-    def test_explicit_python_always_resolves(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "python")
-        assert kernels._resolve_default() == kernels.PYTHON
-
-    @requires_numpy
-    def test_explicit_numpy_resolves_when_available(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", " NumPy ")  # trimmed, case-folded
-        assert kernels._resolve_default() == kernels.NUMPY
-
-    def test_invalid_choice_raises_value_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "cupy")
-        with pytest.raises(ValueError, match="REPRO_KERNELS"):
-            kernels._resolve_default()
-
-    def test_numpy_request_without_numpy_raises(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_np", None)
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        with pytest.raises(RuntimeError, match="not importable"):
-            kernels._resolve_default()
-        with pytest.raises(RuntimeError):
-            kernels.set_backend(kernels.NUMPY)
-        assert not kernels.numpy_available()
-
-    def test_set_backend_rejects_unknown_names(self):
-        with pytest.raises(ValueError):
-            kernels.set_backend("fortran")
-
-    def test_set_backend_switches_vectorization(self):
-        previous = kernels.backend()
-        try:
-            kernels.set_backend(kernels.PYTHON)
-            assert not kernels.vectorizes(10**9)
-            if kernels.numpy_available():
-                kernels.set_backend(kernels.NUMPY)
-                assert kernels.vectorizes(kernels.VECTOR_MIN_PAIRS)
-                assert not kernels.vectorizes(kernels.VECTOR_MIN_PAIRS - 1)
-        finally:
-            kernels.set_backend(previous)
-
-
-# --------------------------------------------------------------------- #
-# Differential equivalence: validation
-# --------------------------------------------------------------------- #
-def _graph_with_edges(num_slots, edges):
-    graph = DynamicGraph(vertices=range(num_slots))
+def _graph_with_edges(edges):
+    graph = DynamicGraph(vertices=range(NUM_SLOTS))
     for su, sv in edges:
         if su != sv and not graph.has_edge(su, sv):
             graph.add_edge(su, sv)
     return graph
 
 
-def _outcome(fn, *args, **kwargs):
+def _outcome(fn, *args):
     """Call ``fn`` and normalise the result or the raised error for diffing."""
     try:
-        return ("ok", fn(*args, **kwargs))
+        fn(*args)
     except (SelfLoopError, EdgeExistsError, EdgeNotFoundError) as exc:
         return (type(exc).__name__, exc.args)
+    return ("ok", None)
 
 
-slot_pairs = st.lists(
-    st.tuples(st.integers(0, 11), st.integers(0, 11)), min_size=0, max_size=40
-)
+def _sequential(apply, batch):
+    """The reference: apply the batch one pair at a time until one fails."""
+    for su, sv in batch:
+        outcome = _outcome(apply, su, sv)
+        if outcome[0] != "ok":
+            return outcome
+    return ("ok", None)
 
 
-class TestValidationEquivalence:
-    @requires_numpy
-    @settings(
-        max_examples=120,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
+class TestFirstErrorWins:
+    @SETTINGS
     @given(existing=slot_pairs, batch=slot_pairs)
-    def test_insertion_validation_matches_python(self, existing, batch):
-        graph = _graph_with_edges(12, existing)
-        adj = graph.adjacency_slots_view()
-        batch = [p for p in batch if not graph.has_edge(*p) or p[0] == p[1]]
-        python = _outcome(
-            kernels.validate_edge_insertions, graph, adj, batch
-        )
-        numpy = _outcome(
+    def test_insertion_validation_matches_sequential_loop(self, existing, batch):
+        graph = _graph_with_edges(existing)
+        edges_before = sorted(graph.edges())
+        validated = _outcome(
             kernels.validate_edge_insertions,
             graph,
-            adj,
+            graph.adjacency_slots_view(),
             batch,
-            kernels.pair_columns(batch),
         )
-        assert python == numpy
+        assert sorted(graph.edges()) == edges_before  # validation never mutates
+        assert validated == _sequential(graph.copy().add_edge, batch)
 
-    @requires_numpy
-    @settings(
-        max_examples=120,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
+    @SETTINGS
     @given(existing=slot_pairs, batch=slot_pairs)
-    def test_deletion_validation_matches_python(self, existing, batch):
-        graph = _graph_with_edges(12, existing)
-        adj = graph.adjacency_slots_view()
-        python = _outcome(kernels.validate_edge_deletions, graph, adj, batch)
-        numpy = _outcome(
+    def test_deletion_validation_matches_sequential_loop(self, existing, batch):
+        graph = _graph_with_edges(existing)
+        # Self-loops can never be present edges; the deletion reference
+        # reports them as missing, as the validator does.
+        edges_before = sorted(graph.edges())
+        validated = _outcome(
             kernels.validate_edge_deletions,
             graph,
-            adj,
+            graph.adjacency_slots_view(),
             batch,
-            kernels.pair_columns(batch),
         )
-        assert python == numpy
-
-
-# --------------------------------------------------------------------- #
-# Differential equivalence: classification and scans
-# --------------------------------------------------------------------- #
-membership_bytes = st.binary(min_size=12, max_size=12).map(
-    lambda raw: bytearray(b & 1 for b in raw)
-)
-
-
-class TestClassificationEquivalence:
-    @requires_numpy
-    @settings(max_examples=120, deadline=None)
-    @given(pairs=slot_pairs, membership=membership_bytes)
-    def test_classify_insertions_matches_python(self, pairs, membership):
-        python = kernels.classify_insertions(pairs, membership)
-        numpy = kernels.classify_insertions(
-            pairs, membership, kernels.pair_columns(pairs)
-        )
-        assert python == numpy
-
-    @requires_numpy
-    @settings(max_examples=120, deadline=None)
-    @given(pairs=slot_pairs, membership=membership_bytes)
-    def test_classify_deletions_matches_python(self, pairs, membership):
-        python = kernels.classify_deletions(pairs, membership)
-        numpy = kernels.classify_deletions(
-            pairs, membership, kernels.pair_columns(pairs)
-        )
-        assert python == numpy
-
-    @requires_numpy
-    @settings(max_examples=120, deadline=None)
-    @given(
-        pairs=slot_pairs,
-        membership=membership_bytes,
-        published_len=st.one_of(st.none(), st.integers(0, 12)),
-        overrides=st.dictionaries(
-            st.integers(0, 11), st.integers(0, 1), max_size=4
-        ),
-    )
-    def test_published_classification_matches_python(
-        self, pairs, membership, published_len, overrides
-    ):
-        """The sharded engine's sweep: stale views, clipping, overrides."""
-        previous = kernels.backend()
-        previous_min = kernels.VECTOR_MIN_PAIRS
-        try:
-            kernels.set_backend(kernels.PYTHON)
-            py_del = classify_deletion_pairs(
-                pairs, membership, published_len, overrides
-            )
-            indexed = [(i, su, sv) for i, (su, sv) in enumerate(pairs)]
-            py_ins = classify_insertion_pairs(
-                indexed, membership, published_len, overrides
-            )
-            kernels.set_backend(kernels.NUMPY)
-            kernels.VECTOR_MIN_PAIRS = 1
-            np_del = classify_deletion_pairs(
-                pairs, membership, published_len, overrides
-            )
-            np_ins = classify_insertion_pairs(
-                indexed, membership, published_len, overrides
-            )
-        finally:
-            kernels.VECTOR_MIN_PAIRS = previous_min
-            kernels.set_backend(previous)
-        assert py_del == np_del
-        assert py_ins == np_ins
-
-    @requires_numpy
-    @settings(max_examples=120, deadline=None)
-    @given(
-        membership=membership_bytes,
-        counts=st.lists(st.integers(0, 5), min_size=12, max_size=12),
-        slots=st.lists(st.integers(0, 11), max_size=24),
-        k=st.integers(1, 3),
-    )
-    def test_repair_scans_match_python(self, membership, counts, slots, k):
-        previous = kernels.backend()
-        previous_min = kernels.VECTOR_MIN_PAIRS
-        try:
-            kernels.set_backend(kernels.PYTHON)
-            py_zero = kernels.zero_count_slots(slots, membership, counts)
-            py_cand = kernels.candidate_slots(slots, membership, counts, k)
-            kernels.set_backend(kernels.NUMPY)
-            kernels.VECTOR_MIN_PAIRS = 1
-            np_zero = kernels.zero_count_slots(slots, membership, counts)
-            np_cand = kernels.candidate_slots(slots, membership, counts, k)
-        finally:
-            kernels.VECTOR_MIN_PAIRS = previous_min
-            kernels.set_backend(previous)
-        assert py_zero == np_zero
-        assert py_cand == np_cand
-
-
-# --------------------------------------------------------------------- #
-# Zero-copy invariant: no lingering buffer exports
-# --------------------------------------------------------------------- #
-class TestTransientViews:
-    @requires_numpy
-    def test_membership_bytearray_can_grow_after_every_kernel(
-        self, forced_numpy
-    ):
-        """A stored ``frombuffer`` view would make ``bytearray.append``
-        raise ``BufferError`` on the next slot growth; every kernel must
-        drop its views before returning."""
-        membership = bytearray([0, 1, 0, 1, 0, 1])
-        counts = [0, 1, 2, 0, 1, 2]
-        pairs = [(0, 1), (2, 3), (4, 5)]
-        kernels.classify_insertions(pairs, membership)
-        kernels.classify_deletions(pairs, membership)
-        kernels.classify_deletion_pairs_published(pairs, membership, 4, {2: 1})
-        kernels.classify_insertion_pairs_published(
-            [(0, 0, 1), (1, 2, 3)], membership, 4, {2: 1}
-        )
-        kernels.zero_count_slots([0, 1, 2], membership, counts)
-        kernels.candidate_slots([3, 4, 5], membership, counts, 2)
-        membership.append(0)  # raises BufferError if any view lingers
-        assert len(membership) == 7
-
-    @requires_numpy
-    def test_bulk_mutators_leave_no_exports(self, forced_numpy):
-        from repro.core.lazy import LazyMISState
-        from repro.core.state import MISState
-
-        for state_cls in (MISState, LazyMISState):
-            graph = DynamicGraph(vertices=range(6))
-            state = state_cls(graph, k=2)
-            state.move_in(0)
-            state.add_edges_slots_bulk(
-                [(graph.slot_of(0), graph.slot_of(v)) for v in (1, 2, 3)]
-            )
-            state.remove_edges_slots_bulk(
-                [(graph.slot_of(0), graph.slot_of(1))]
-            )
-            # Grows the slot arrays in place (``bytearray.append`` would
-            # raise BufferError if a kernel left a view on ``_in_sol``).
-            state.add_vertex("grown", [0])
-            assert state.count("grown") == 1  # 0 is in the solution
+        assert sorted(graph.edges()) == edges_before
+        assert validated == _sequential(graph.copy().remove_edge, batch)

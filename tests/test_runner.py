@@ -49,6 +49,20 @@ class TestFactories:
         algo = create_algorithm("KSwapFramework", small_random_graph.copy(), k=3)
         assert algo.k == 3
 
+    @pytest.mark.parametrize(
+        "name, options",
+        [
+            ("DyOneSwap", {"bogus": 1}),
+            ("DyTwoSwap+lazy", {"workers": 2}),
+            ("DGOneDIS", {"lazy": True}),
+        ],
+    )
+    def test_unknown_option_is_a_typed_error(self, path_graph, name, options):
+        with pytest.raises(ExperimentError, match=sorted(options)[0]):
+            create_algorithm(name, path_graph.copy(), None, **options)
+        with pytest.raises(ExperimentError, match=sorted(options)[0]):
+            run_algorithm(name, path_graph, [], **options)
+
 
 class TestRunAlgorithm:
     def test_measurement_fields(self, graph_and_stream):
