@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI-style smoke check: tier-1 tests plus the quick benchmark gated against
 # the committed BENCH_core.json, so correctness *and* per-update performance
-# regressions fail fast — locally and in the GitHub Actions workflow.
+# regressions fail fast — locally and in the GitHub Actions workflow.  Ends
+# with a short correctness-only run of each perfbench workload.
 #
 # Usage: scripts/ci_check.sh
 #
@@ -69,6 +70,19 @@ python benchmarks/bench_fork_whatif.py \
     --rounds "${FORK_BENCH_ROUNDS:-3}" \
     --gate-mode "${BENCH_MODE:-fail}" \
     ${FORK_BENCH_OUTPUT:+--output "$FORK_BENCH_OUTPUT"}
+
+echo
+echo "== repository benchmark: each workload runs its own correctness checks"
+echo "   (digest parity, checkpoint restore, deterministic counts) traced and"
+echo "   untraced, so a rename that breaks the names it traces fails here =="
+for workload in temporal-replay paper-updates service-bursty; do
+    if ! out="$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 3 --trace 1)"; then
+        printf '%s\n' "$out"
+        echo "perfbench: $workload failed" >&2
+        exit 1
+    fi
+    echo "  $workload: correct"
+done
 
 echo
 echo "ci_check OK (benchmark results: $scratch)"

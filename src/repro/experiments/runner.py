@@ -196,6 +196,20 @@ def create_algorithm(
     return factory(graph, initial_solution, **options)
 
 
+def restore_factory(name: str, options: Dict) -> Callable:
+    """The factory a checkpoint or snapshot rebuilds ``name`` through.
+
+    ``options`` are the caller's; the options the snapshot recorded win over
+    them.  Shared by runner resumes and service tenant restores.
+    """
+
+    def factory(graph: DynamicGraph, initial_solution, **snapshot_options):
+        merged = {**options, **snapshot_options}
+        return create_algorithm(name, graph, initial_solution, **merged)
+
+    return factory
+
+
 def _timed_stream_run(
     algorithm,
     stream: Iterable,
@@ -338,10 +352,11 @@ def _run_single(
     * with ``resume_from`` set, the algorithm is restored bit-for-bit from
       that checkpoint, the first ``processed`` operations of the stream are
       skipped by consuming the iterator, the fingerprint of the skipped
-      prefix is verified against the checkpoint's recorded identity, and
-      measurement fields (update count, elapsed time, initial size)
-      continue from the checkpointed values — so a resumed run is
-      indistinguishable from an uninterrupted one.
+      prefix is verified against the checkpoint's recorded identity (a
+      checkpoint without one is refused), and measurement fields (update
+      count, elapsed time, initial size) continue from the checkpointed
+      values — so a resumed run is indistinguishable from an uninterrupted
+      one.
     """
     stream_length: Optional[int] = stream_length_hint(stream)
     description = stream_description(stream)
@@ -420,13 +435,12 @@ def _run_single(
                 f"checkpoint {restored.path} consumed {restored.processed} "
                 f"operations but the stream only has {stream_length}"
             )
-
-        def factory(restored_graph, solution, **snapshot_options):
-            merged = dict(options)
-            merged.update(snapshot_options)
-            return create_algorithm(name, restored_graph, solution, **merged)
-
-        algorithm = restored.restore(factory)
+        if restored.stream_identity is None:
+            raise ExperimentError(
+                f"checkpoint {restored.path} records no stream fingerprint, so "
+                "the skipped prefix cannot be verified; refusing to resume"
+            )
+        algorithm = restored.restore(restore_factory(name, options))
         skip = restored.processed
         initial_size = restored.initial_size
         elapsed_offset = restored.elapsed_seconds
@@ -456,10 +470,7 @@ def _run_single(
                 f"checkpoint {restored.path} consumed {skip} operations but "
                 f"the stream only yielded {skipped}"
             )
-        if (
-            restored.stream_identity is not None
-            and cursor.fingerprint != restored.stream_identity
-        ):
+        if cursor.fingerprint != restored.stream_identity:
             raise ExperimentError(
                 f"checkpoint {restored.path} was taken at offset {skip} of a "
                 f"stream whose prefix fingerprint is "

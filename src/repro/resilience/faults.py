@@ -9,7 +9,8 @@ small set of **named fault points** threaded through the pipeline —
 point                     where it fires
 ========================  ====================================================
 ``stream.read``           :class:`~repro.updates.protocol.StreamCursor`
-                          (once per operation consumed through a cursor)
+                          (once per operation consumed through a cursor,
+                          before the stream fingerprint advances)
 ``coalesce``              :func:`~repro.updates.coalesce.coalesce_batch`
                           (once per batch, before simulation)
 ``bulk_apply``            :meth:`~repro.core.base.DynamicMISBase.apply_batch`

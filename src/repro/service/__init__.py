@@ -31,7 +31,6 @@ from repro.service.config import (
 from repro.service.gateway import MISGateway, ShutdownReport, TenantReport
 from repro.service.client import ServiceClient, ServiceThread, connect_with_retry
 from repro.service.tenant import (
-    FINGERPRINT_SEED,
     SERVICE_FORMAT,
     Tenant,
     chain_fingerprint,
@@ -49,7 +48,6 @@ __all__ = [
     "ServiceThread",
     "connect_with_retry",
     "Tenant",
-    "FINGERPRINT_SEED",
     "SERVICE_FORMAT",
     "chain_fingerprint",
     "engine_digest",

@@ -20,15 +20,18 @@ Responsibilities, and how they compose:
   "coalesce harder, then refuse loudly", never silent loss.
 * **Durability**: checkpoints on the operation-interval and/or wall-clock
   policy of :class:`~repro.workloads.replay.CheckpointConfig`, written at
-  batch boundaries, carrying a chained stream fingerprint (resumable across
-  process death, unlike a hashing cursor's in-memory state) and service
-  metadata so a warm start can refuse a config-mismatched checkpoint.
+  batch boundaries, carrying the stream fingerprint of the applied prefix
+  (:func:`~repro.updates.protocol.chain_fingerprint`, the same chain the
+  runner's cursor records, continued from the checkpoint after process
+  death) and service metadata so a restore can refuse a config-mismatched
+  checkpoint.
 * **Supervision** (:meth:`run`): a crashed engine (injected fault, I/O
   error, integrity violation) is dropped, restored from the newest *valid*
   checkpoint and brought back to the exact pre-crash state
   by replaying the in-memory replay buffer with the **original batch
   boundaries** — recovery is bit-identical and invisible to clients, while
-  other tenants keep serving.
+  other tenants keep serving.  First boot and every later rebuild go
+  through the same :meth:`_restore`.
 """
 
 from __future__ import annotations
@@ -42,13 +45,13 @@ from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.exceptions import OverloadedError, ServiceError
-from repro.experiments.runner import create_algorithm
+from repro.experiments.runner import restore_factory
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.resilience.faults import SERVICE_INGEST, SERVICE_SHUTDOWN, trip
 from repro.resilience.supervisor import RECOVERABLE, RetryPolicy
 from repro.service.config import TenantSpec
 from repro.updates.operations import UpdateOperation
-from repro.updates.protocol import encode_operation
+from repro.updates.protocol import EMPTY_FINGERPRINT, chain_fingerprint
 from repro.workloads.replay import (
     latest_valid_checkpoint,
     load_checkpoint,
@@ -56,23 +59,9 @@ from repro.workloads.replay import (
 )
 from repro.workloads.snapshot import algorithm_to_payload, load_snapshot
 
-#: Anchor of the chained stream fingerprint.  Unlike the experiment
-#: runner's :class:`~repro.updates.protocol.StreamCursor` (whose incremental
-#: hash object dies with the process), the chain ``fp_n = sha256(fp_{n-1}
-#: || op_n)`` is resumable from the hex digest stored in any checkpoint.
-FINGERPRINT_SEED = hashlib.sha256(b"repro-service/1").hexdigest()
-
 #: Marker stored in checkpoint metadata so foreign checkpoints (e.g. an
-#: experiment run sharing a directory) are never warm-started from.
+#: experiment run sharing a directory) are never restored from.
 SERVICE_FORMAT = "repro-service/1"
-
-
-def chain_fingerprint(fingerprint: str, operation: UpdateOperation) -> str:
-    """Advance the chained fingerprint by one operation."""
-    entry = json.dumps(encode_operation(operation), separators=(",", ":"))
-    return hashlib.sha256(
-        bytes.fromhex(fingerprint) + entry.encode("utf-8")
-    ).hexdigest()
 
 
 def engine_digest(algorithm) -> str:
@@ -110,8 +99,8 @@ class Tenant:
         self.accepted = 0
         self.applied = 0
         self.durable = 0
-        self.fingerprint = FINGERPRINT_SEED
-        self._durable_fp = FINGERPRINT_SEED
+        self.fingerprint = EMPTY_FINGERPRINT
+        self._durable_fp = EMPTY_FINGERPRINT
         self._attempt = 0
         self.final_checkpoint: Optional[Path] = None
         self.stats: Dict[str, int] = {
@@ -280,26 +269,20 @@ class Tenant:
     # Supervision loop
     # ------------------------------------------------------------------ #
     async def run(self) -> None:
-        """Bootstrap, serve, and absorb recoverable crashes until drained.
+        """Restore, serve, and absorb recoverable crashes until drained.
 
         The attempt counter resets whenever a batch lands successfully
         (:meth:`_apply_batch`), so ``max_attempts`` bounds *consecutive*
         failures, not lifetime crashes of a long-lived tenant.
         """
-        bootstrapped = False
+        booted = False
         while True:
             try:
                 if self.engine is None:
-                    # First boot goes through the warm-start priority chain;
-                    # every later rebuild must go through _recover, which
-                    # preserves the admission counters and replays the
-                    # buffered batches to the exact pre-crash state.
-                    if bootstrapped:
-                        self._recover()
+                    self._restore(first=not booted)
+                    if booted:
                         self.stats["restarts"] += 1
-                    else:
-                        self._bootstrap()
-                        bootstrapped = True
+                    booted = True
                 self.status = "serving"
                 self.ready.set()
                 await self._serve()
@@ -330,98 +313,71 @@ class Tenant:
         """Drop the tenant's reference to its (crashed or retired) engine."""
         self.engine = None
 
-    def _bootstrap(self) -> None:
-        """Warm-start priority: newest valid checkpoint > snapshot > fresh."""
+    def _restore(self, *, first: bool) -> None:
+        """Rebuild the engine: newest valid checkpoint > snapshot > fresh.
+
+        Corrupt checkpoints are quarantined by discovery.  On first boot the
+        checkpoint's counters and fingerprint are adopted; on every later
+        rebuild the checkpoint must cover exactly ``durable`` ops, and the
+        replay buffer (the applied suffix past ``durable``) is re-applied
+        with its original batch boundaries, so the rebuilt engine matches
+        the crashed one bit for bit.  Queued-but-unapplied operations are
+        still in ``_pending`` and flow through the serve loop afterwards.
+        """
         spec = self.spec
-        checkpoint_path = latest_valid_checkpoint(
-            self.checkpoints.directory, spec.algorithm
-        )
-        if checkpoint_path is not None:
-            restored = load_checkpoint(checkpoint_path)
+        factory = restore_factory(spec.algorithm, spec.options)
+        path = latest_valid_checkpoint(self.checkpoints.directory, spec.algorithm)
+        if path is not None:
+            restored = load_checkpoint(path)
             meta = restored.metadata
-            if meta.get("service") != SERVICE_FORMAT or meta.get("tenant") != spec.name:
+            if (
+                meta.get("service") != SERVICE_FORMAT
+                or meta.get("tenant") != spec.name
+                or restored.stream_identity is None
+            ):
                 raise ServiceError(
-                    f"checkpoint {checkpoint_path} was not written by service "
-                    f"tenant {spec.name!r}; refusing to warm-start from it"
+                    f"checkpoint {path} is not a fingerprinted checkpoint of "
+                    f"service tenant {spec.name!r}; refusing to restore from it"
                 )
             if restored.batch_size != spec.batch_size:
                 raise ServiceError(
-                    f"checkpoint {checkpoint_path} was written with "
+                    f"checkpoint {path} was written with "
                     f"batch_size={restored.batch_size}; tenant {spec.name!r} is "
                     f"configured with batch_size={spec.batch_size} — resuming "
                     "would shift every batch boundary"
                 )
-            self.engine = restored.restore(self._factory)
-            self.applied = self.accepted = self.durable = restored.processed
-            self.fingerprint = restored.stream_identity or FINGERPRINT_SEED
-            self._durable_fp = self.fingerprint
-            self._initial_size = restored.initial_size
-        elif spec.snapshot is not None:
-            self.engine = load_snapshot(spec.snapshot, self._factory)
-            self._initial_size = self.engine.solution_size
-        else:
-            self.engine = create_algorithm(
-                spec.algorithm, DynamicGraph(), None, **dict(spec.options)
-            )
-            self._initial_size = self.engine.solution_size
-        self._last_checkpoint_time = time.monotonic()
-
-    def _factory(self, graph, solution, **snapshot_options):
-        merged = dict(self.spec.options)
-        merged.update(snapshot_options)
-        return create_algorithm(self.spec.algorithm, graph, solution, **merged)
-
-    def _recover(self) -> None:
-        """Rebuild the exact pre-crash engine state.
-
-        Restore from the newest valid checkpoint (corrupt ones are
-        quarantined by discovery), then re-apply the replay buffer with its
-        original batch boundaries.  The buffer covers precisely the applied
-        suffix past ``durable``, so the rebuilt engine matches the crashed
-        one bit for bit; queued-but-unapplied operations are still in
-        ``_pending`` and flow through the normal serve loop afterwards.
-        """
-        replayed = list(self._replay)
-        before_applied = self.applied
-        before_fingerprint = self.fingerprint
-        checkpoint_path = latest_valid_checkpoint(
-            self.checkpoints.directory, self.spec.algorithm
-        )
-        if checkpoint_path is not None:
-            restored = load_checkpoint(checkpoint_path)
-            if restored.processed != self.durable:
+            if first:
+                self.applied = self.accepted = self.durable = restored.processed
+                self.fingerprint = self._durable_fp = restored.stream_identity
+                self._initial_size = restored.initial_size
+            elif restored.processed != self.durable:
                 raise ServiceError(
-                    f"tenant {self.spec.name!r}: newest checkpoint covers "
+                    f"tenant {spec.name!r}: newest checkpoint covers "
                     f"{restored.processed} ops but the replay buffer starts at "
                     f"{self.durable} — cannot reconstruct the crashed state"
                 )
-            self.engine = restored.restore(self._factory)
-        elif self.durable == 0:
-            if self.spec.snapshot is not None:
-                self.engine = load_snapshot(self.spec.snapshot, self._factory)
-            else:
-                self.engine = create_algorithm(
-                    self.spec.algorithm,
-                    DynamicGraph(),
-                    None,
-                    **dict(self.spec.options),
-                )
-        else:
+            self.engine = restored.restore(factory)
+        elif self.durable:
             raise ServiceError(
-                f"tenant {self.spec.name!r}: no valid checkpoint survives but "
+                f"tenant {spec.name!r}: no valid checkpoint survives but "
                 f"{self.durable} ops were durable — cannot recover"
             )
-        self.applied = self.durable
-        self.fingerprint = self._durable_fp
-        for batch in replayed:
+        else:
+            if spec.snapshot is not None:
+                self.engine = load_snapshot(spec.snapshot, factory)
+            else:
+                self.engine = factory(DynamicGraph(), None)
+            self._initial_size = self.engine.solution_size
+        before = (self.applied, self.fingerprint)
+        self.applied, self.fingerprint = self.durable, self._durable_fp
+        for batch in self._replay:
             self.engine.apply_batch(batch, coalesce=True)
-            for operation in batch:
-                self.fingerprint = chain_fingerprint(self.fingerprint, operation)
+            self.fingerprint = chain_fingerprint(self.fingerprint, batch)
             self.applied += len(batch)
-        if self.applied != before_applied or self.fingerprint != before_fingerprint:
+        if (self.applied, self.fingerprint) != before:
             raise ServiceError(
-                f"tenant {self.spec.name!r}: replayed state diverged "
-                f"(applied {self.applied} vs {before_applied})"
+                f"tenant {spec.name!r}: replayed state diverged "
+                f"(applied {self.applied} vs {before[0]})"
             )
         self._last_checkpoint_time = time.monotonic()
 
@@ -516,8 +472,7 @@ class Tenant:
             # the same boundary (nothing admitted is ever lost to a crash).
             self._pending.extendleft(reversed(batch))
             raise
-        for operation in batch:
-            self.fingerprint = chain_fingerprint(self.fingerprint, operation)
+        self.fingerprint = chain_fingerprint(self.fingerprint, batch)
         self.applied += len(batch)
         self.stats["batches"] += 1
         self._replay.append(batch)

@@ -9,10 +9,10 @@ from repro.updates.protocol import (
     OperationStream,
     StreamCursor,
     as_operation_stream,
+    chain_fingerprint,
     chunked,
     decode_operation,
     encode_operation,
-    fingerprint_prefix,
     stream_description,
     stream_length_hint,
     stream_metadata,
@@ -52,7 +52,7 @@ __all__ = [
     "chunked",
     "encode_operation",
     "decode_operation",
-    "fingerprint_prefix",
+    "chain_fingerprint",
     "stream_description",
     "stream_length_hint",
     "stream_metadata",

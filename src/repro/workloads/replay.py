@@ -40,8 +40,11 @@ PathLike = Union[str, Path]
 
 #: ``/2`` added the embedded SHA-256 document digest (verified on every
 #: load), so a checkpoint that survived its atomic write but rotted on disk
-#: afterwards is detected instead of silently replayed.
-CHECKPOINT_FORMAT = "repro-checkpoint/2"
+#: afterwards is detected instead of silently replayed.  ``/3`` records the
+#: one chained stream fingerprint as ``stream_identity``
+#: (:func:`~repro.updates.protocol.chain_fingerprint`); older files fail the
+#: format check and are never resumed.
+CHECKPOINT_FORMAT = "repro-checkpoint/3"
 
 #: Subdirectory (inside the checkpoint directory) where corrupt checkpoints
 #: are moved by :func:`quarantine_checkpoint`; its name never matches the
@@ -108,10 +111,11 @@ class Checkpoint:
     """A loaded checkpoint document.
 
     ``processed`` is the resume *offset* into the stream;
-    ``stream_identity`` is the incremental fingerprint
-    (:class:`~repro.updates.protocol.StreamCursor`) of exactly that prefix,
-    so a resume can verify it is skipping through the same stream without
-    either side materialising it.  ``stream_length`` is only a hint — lazy
+    ``stream_identity`` is the stream fingerprint
+    (:func:`~repro.updates.protocol.chain_fingerprint`) of exactly that
+    prefix, so a resume can verify it is skipping through the same stream
+    without either side materialising it, and a tenant can continue the
+    chain from it.  ``stream_length`` is only a hint — lazy
     streams legitimately record ``None``.
     """
 
@@ -224,9 +228,9 @@ def save_checkpoint(
 ) -> Path:
     """Write a checkpoint for ``algorithm`` after ``processed`` operations.
 
-    ``stream_identity`` should be the
-    :class:`~repro.updates.protocol.StreamCursor` fingerprint of the
-    consumed prefix; resumes verify it after skipping ahead.  ``metadata``
+    ``stream_identity`` should be the stream fingerprint
+    (:func:`~repro.updates.protocol.chain_fingerprint`) of the consumed
+    prefix; resumes verify it after skipping ahead.  ``metadata``
     is an optional JSON-serialisable dict stored verbatim for the writer's
     own provenance (the runner leaves it empty; the service layer records
     tenant identity and batching policy).  Returns the path written.  With

@@ -8,6 +8,8 @@ uninterrupted run's.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.one_swap import DyOneSwap
@@ -17,8 +19,10 @@ from repro.experiments import (
     run_algorithm,
     run_competition,
 )
+from repro.experiments.runner import create_algorithm
 from repro.generators.random_graphs import gnm_random_graph
-from repro.updates.streams import UpdateStream
+from repro.resilience.integrity import embed_digest
+from repro.updates.streams import UpdateStream, mixed_update_stream
 from repro.workloads import (
     CheckpointConfig,
     find_checkpoints,
@@ -26,7 +30,11 @@ from repro.workloads import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.workloads.replay import invalidate_prune_ledger
+from repro.workloads.replay import (
+    QUARANTINE_DIRNAME,
+    invalidate_prune_ledger,
+    latest_valid_checkpoint,
+)
 from repro.workloads.snapshot import graph_to_payload
 
 
@@ -188,6 +196,24 @@ class TestRunAlgorithmCheckpointing:
         with pytest.raises(ExperimentError, match="mix two runs"):
             run_algorithm("DyOneSwap", graph, other, resume_from=path)
 
+    def test_resume_refuses_checkpoint_without_stream_identity(self, tmp_path):
+        graph = gnm_random_graph(60, 150, seed=4)
+        stream_a = list(mixed_update_stream(graph, 200, seed=1))
+        engine = create_algorithm("DyOneSwap", graph.copy(), None)
+        engine.apply_stream(stream_a[:100])
+        path = save_checkpoint(
+            engine,
+            tmp_path,
+            algorithm_name="DyOneSwap",
+            processed=100,
+            initial_size=0,
+        )
+        # Same length, a different 100-op prefix, then A's tail: without a
+        # recorded fingerprint nothing could tell the prefixes apart.
+        stream_b = list(mixed_update_stream(graph, 100, seed=2)) + stream_a[100:]
+        with pytest.raises(ExperimentError, match="no stream fingerprint"):
+            run_algorithm("DyOneSwap", graph, stream_b, resume_from=path)
+
     def test_non_snapshot_capable_algorithm_fails_fast(
         self, temporal_workload, tmp_path
     ):
@@ -216,6 +242,25 @@ class TestRunAlgorithmCheckpointing:
             CheckpointConfig(directory=tmp_path, every=0)
         with pytest.raises(CheckpointError):
             CheckpointConfig(directory=tmp_path, every=10, keep=0)
+
+
+class TestFormatVersion:
+    def test_format_2_checkpoint_is_never_resumed(self, temporal_workload, tmp_path):
+        graph, stream = temporal_workload
+        config = CheckpointConfig(directory=tmp_path, every=200)
+        run_algorithm("DyOneSwap", graph, stream, checkpoint=config)
+        path = latest_checkpoint(tmp_path, "DyOneSwap")
+        # An intact /2 document: older format, digest re-embedded over it.
+        document = json.loads(path.read_text())
+        document["format"] = "repro-checkpoint/2"
+        path.write_text(json.dumps(embed_digest(document)))
+        with pytest.raises(CheckpointError, match="repro-checkpoint/2"):
+            run_algorithm("DyOneSwap", graph, stream, resume_from=path)
+        with pytest.warns(RuntimeWarning, match="repro-checkpoint/2"):
+            survivor = latest_valid_checkpoint(tmp_path, "DyOneSwap")
+        assert survivor is not None and survivor != path
+        assert not path.exists()
+        assert (tmp_path / QUARANTINE_DIRNAME / path.name).exists()
 
 
 class TestRunCompetitionCheckpointing:

@@ -36,9 +36,9 @@ from repro.service import (
     ServiceThread,
     TenantSpec,
 )
-from repro.service.tenant import FINGERPRINT_SEED, chain_fingerprint, engine_digest
+from repro.service.tenant import SERVICE_FORMAT, engine_digest
 from repro.updates.operations import UpdateOperation
-from repro.updates.protocol import chunked
+from repro.updates.protocol import StreamCursor, chunked
 from repro.updates.streams import mixed_update_stream
 from repro.updates.wire import (
     MAX_LINE_BYTES,
@@ -397,6 +397,40 @@ class TestSupervision:
         assert crashy_digest == reference_digest(ops, 64)
         assert bystander_digest == reference_digest(ops[:64], 8)
 
+    def test_restart_then_crash_recovers_on_the_stream_fingerprint(self, tmp_path):
+        """A gateway restored from a prior gateway's checkpoint crashes before
+        its own next checkpoint: the recovery continues the same chain the
+        runner's cursor computes over the whole stream."""
+        ops = build_ops(256)
+        spec = TenantSpec(
+            name="relay",
+            batch_size=32,
+            window_max=64,
+            adaptive=False,
+            checkpoint_every=64,
+        )
+        with service(tmp_path, spec) as svc:
+            with svc.client() as client:
+                client.ingest_stream("relay", ops[:128], chunk=32)
+        # Hit 2 is the restarted gateway's second batch (ops 161-192): past
+        # the inherited checkpoint at 128, before the next one at 192.
+        with inject_faults(FaultPlan.at(BULK_APPLY, 2)) as injector:
+            with service(tmp_path, spec) as svc2:
+                with svc2.client() as client:
+                    assert client.offset("relay")["durable"] == 128
+                    client.ingest_stream("relay", ops, chunk=32)
+                    client.flush("relay")
+                    stats = client.stats("relay")["stats"]
+                    offset = client.offset("relay")
+                    digest = client.digest("relay")["digest"]
+        assert [f.point for f in injector.fired] == [BULK_APPLY]
+        assert stats["crashes"] == stats["restarts"] == 1
+        assert digest == reference_digest(ops, 32)
+        cursor = StreamCursor(ops)
+        cursor.skip(len(ops))
+        assert offset["applied"] == len(ops)
+        assert offset["fingerprint"] == cursor.fingerprint
+
     def test_torn_checkpoint_write_is_absorbed(self, tmp_path):
         ops = build_ops(256)
         spec = TenantSpec(
@@ -568,6 +602,24 @@ class TestDurability:
         svc2._thread.join(timeout=20)
         assert not svc2._thread.is_alive()
 
+    def test_checkpoint_without_stream_fingerprint_is_refused(self, tmp_path):
+        spec = TenantSpec(name="blank", batch_size=32, checkpoint_every=32)
+        engine = create_algorithm("DyOneSwap", DynamicGraph(), None)
+        save_checkpoint(
+            engine,
+            spec.checkpoint_config(tmp_path / "data").directory,
+            algorithm_name=spec.algorithm,
+            processed=32,
+            initial_size=0,
+            batch_size=32,
+            metadata={"service": SERVICE_FORMAT, "tenant": "blank"},
+        )
+        svc = service(tmp_path, spec)
+        with pytest.raises(ServiceError, match="fingerprinted checkpoint"):
+            svc.start()
+        svc._thread.join(timeout=20)
+        assert not svc._thread.is_alive()
+
     def test_snapshot_warm_start_and_flicker_ingest(self, tmp_path):
         graph, stream = flicker_update_stream(6, rounds=24, seed=5)
         ops = list(stream)
@@ -715,27 +767,3 @@ class TestSmoke:
         from repro.service import smoke
 
         assert smoke.main() == 0
-
-
-# --------------------------------------------------------------------- #
-# Fingerprint chain
-# --------------------------------------------------------------------- #
-class TestFingerprint:
-    def test_chain_is_order_sensitive_and_resumable(self):
-        ops = build_ops(8)
-        forward = FINGERPRINT_SEED
-        for op in ops:
-            forward = chain_fingerprint(forward, op)
-        # Resuming the chain from an intermediate hex lands on the same tip.
-        middle = FINGERPRINT_SEED
-        for op in ops[:4]:
-            middle = chain_fingerprint(middle, op)
-        resumed = middle
-        for op in ops[4:]:
-            resumed = chain_fingerprint(resumed, op)
-        assert resumed == forward
-        # Different order, different tip.
-        swapped = FINGERPRINT_SEED
-        for op in reversed(ops):
-            swapped = chain_fingerprint(swapped, op)
-        assert swapped != forward

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.updates.operations import UpdateOperation
@@ -11,10 +13,10 @@ from repro.updates.protocol import (
     LazyOperationStream,
     StreamCursor,
     as_operation_stream,
+    chain_fingerprint,
     chunked,
     decode_operation,
     encode_operation,
-    fingerprint_prefix,
     stream_description,
     stream_length_hint,
     stream_metadata,
@@ -22,10 +24,34 @@ from repro.updates.protocol import (
 from repro.updates.streams import UpdateStream, mixed_update_stream
 
 
+def mixed_operations(count, seed, edges=(), **options):
+    graph = DynamicGraph(edges=edges)
+    return list(mixed_update_stream(graph, count, seed=seed, **options))
+
+
+CYCLE = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+#: Fixed inputs of the chain properties: the stream the prefix-helper cases
+#: used, and the 8-op stream the service fingerprint cases used.
+PREFIX_OPS = mixed_operations(40, 7, CYCLE)
+SERVICE_OPS = mixed_operations(8, 3, edge_fraction=0.5)
+
+
 @pytest.fixture()
 def operations():
-    graph = DynamicGraph(edges=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    return list(mixed_update_stream(graph, 40, seed=7))
+    return list(PREFIX_OPS)
+
+
+#: Labels whose reprs differ although some compare or print alike.
+LABELS = st.one_of(
+    st.integers(-3, 3), st.sampled_from(["1", "a", ""]), st.tuples(st.integers(0, 2))
+)
+EDGES = st.tuples(LABELS, LABELS).filter(lambda pair: pair[0] != pair[1])
+OPERATIONS = st.one_of(
+    st.builds(UpdateOperation.insert_vertex, LABELS, st.lists(LABELS, max_size=3)),
+    st.builds(UpdateOperation.delete_vertex, LABELS),
+    EDGES.map(lambda pair: UpdateOperation.insert_edge(*pair)),
+    EDGES.map(lambda pair: UpdateOperation.delete_edge(*pair)),
+)
 
 
 class TestEncoding:
@@ -95,14 +121,57 @@ class TestStreamCursor:
         assert list(cursor) == []  # cursor is retired
         assert cursor.offset == 5
 
-    def test_fingerprint_prefix_helper(self, operations):
-        consumed, fp = fingerprint_prefix(operations, 10)
-        cursor = StreamCursor(operations)
-        cursor.skip(10)
-        assert (consumed, fp) == (10, cursor.fingerprint)
-        total, full = fingerprint_prefix(operations)
-        assert total == len(operations)
-        assert full != fp
+
+class TestOneChain:
+    """The cursor and :func:`chain_fingerprint` advance one chain."""
+
+    @given(st.lists(OPERATIONS, max_size=30), st.lists(st.integers(0, 30), max_size=4))
+    @settings(max_examples=80, deadline=None)
+    @example(PREFIX_OPS, [10])
+    @example(SERVICE_OPS, [4])
+    def test_cursor_matches_chain_at_every_offset(self, ops, cuts):
+        cursor = StreamCursor(ops)
+        tips = [cursor.fingerprint] + [cursor.fingerprint for _ in cursor]
+        step = EMPTY_FINGERPRINT
+        for offset, operation in enumerate(ops, 1):
+            step = chain_fingerprint(step, [operation])
+            assert step == tips[offset]
+        assert chain_fingerprint(EMPTY_FINGERPRINT, ops) == tips[-1]
+        # Resumed chunk by chunk from the stored hex, split anywhere: the
+        # cursor's take() and the batch chain land on the same digests.
+        bounds = sorted({min(cut, len(ops)) for cut in cuts} | {0, len(ops)})
+        chained, chunks = EMPTY_FINGERPRINT, StreamCursor(ops)
+        for start, stop in zip(bounds, bounds[1:]):
+            chained = chain_fingerprint(chained, ops[start:stop])
+            chunks.take(stop - start)
+            assert chained == chunks.fingerprint == tips[stop]
+
+    @given(
+        st.lists(OPERATIONS, min_size=2, max_size=12).flatmap(
+            lambda ops: st.tuples(st.just(ops), st.permutations(ops))
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    @example((SERVICE_OPS, SERVICE_OPS[::-1]))
+    def test_reordering_changes_the_tip(self, pair):
+        ops, shuffled = pair
+        assume(shuffled != ops)
+        assert chain_fingerprint(EMPTY_FINGERPRINT, shuffled) != chain_fingerprint(
+            EMPTY_FINGERPRINT, ops
+        )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: UpdateOperation.insert_vertex(x, [x]),
+            UpdateOperation.delete_vertex,
+            lambda x: UpdateOperation.insert_edge(x, 0),
+            lambda x: UpdateOperation.delete_edge(0, x),
+        ],
+    )
+    def test_label_types_hash_apart(self, make):
+        tips = {chain_fingerprint(EMPTY_FINGERPRINT, [make(x)]) for x in (1, "1", (1,))}
+        assert len(tips) == 3
 
 
 class TestChunked:
