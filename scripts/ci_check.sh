@@ -51,6 +51,11 @@ echo "== service smoke: SIGKILL a live gateway, restart, verify bit-identical ==
 python -m repro.service.smoke
 
 echo
+echo "== paper reproduction example (quick profile; the other examples run in"
+echo "   tests/test_examples.py) =="
+python examples/reproduce_paper.py > /dev/null
+
+echo
 echo "== quick benchmark vs committed BENCH_core.json (per-update regression"
 echo "   beyond the tolerance or any solution-size change fails the check) =="
 scratch="${BENCH_OUTPUT:-$(mktemp -t bench_core_ci.XXXXXX.json)}"

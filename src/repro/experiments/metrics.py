@@ -54,7 +54,15 @@ class QualityMetrics:
 
 @dataclass
 class RunMeasurement:
-    """Everything measured for one algorithm on one dataset/stream pair."""
+    """Everything measured for one algorithm on one dataset/stream pair.
+
+    ``elapsed_seconds`` is engine time: the sum of the stopwatch sessions
+    around ``apply_batch`` / ``apply_update``, the same in every runner mode.
+    Building the initial solution, pulling operations from the stream
+    (parsing, windowing, fingerprinting), invariant guards and checkpoint
+    I/O are excluded.  A resumed run adds the time recorded in its
+    checkpoint.
+    """
 
     algorithm: str
     dataset: str
@@ -123,12 +131,6 @@ class Stopwatch:
         if self._start is not None:
             self.elapsed += time.perf_counter() - self._start
             self._start = None
-
-    def peek(self) -> float:
-        """Elapsed time so far, including the currently running interval."""
-        if self._start is None:
-            return self.elapsed
-        return self.elapsed + (time.perf_counter() - self._start)
 
 
 def speedup(baseline_seconds: float, contender_seconds: float) -> float:

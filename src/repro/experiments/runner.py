@@ -25,7 +25,6 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -154,11 +153,6 @@ def supports_snapshots(name: str) -> bool:
     return name in SNAPSHOT_CAPABLE
 
 
-def _supports_snapshots(name: str, options: Dict) -> bool:
-    del options  # capability is a property of the registered class
-    return supports_snapshots(name)
-
-
 def algorithm_options(name: str) -> FrozenSet[str]:
     """Option keywords the registered algorithm ``name`` accepts."""
     return ALGORITHM_FACTORIES[name].options
@@ -210,73 +204,40 @@ def restore_factory(name: str, options: Dict) -> Callable:
     return factory
 
 
-def _timed_stream_run(
-    algorithm,
-    stream: Iterable,
-    stopwatch: Stopwatch,
-    time_limit_seconds: Optional[float],
-    check_interval: int,
-    batch_size: int = 1,
-) -> Tuple[int, bool]:
-    """Apply ``stream`` to ``algorithm``; return ``(processed, finished)``.
+def _chunk_cap(batch_size: int, check_interval: Optional[int] = None) -> int:
+    """Largest chunk a run pulls between two stopwatch sessions.
+
+    At most :data:`CHECKPOINT_CHUNK` operations, rounded down to a whole
+    number of batches (never below one batch) so chunk boundaries stay
+    batch-aligned.  With a time limit the cap is also ``check_interval``
+    rounded up to a multiple of the batch size: the limit is checked at
+    chunk boundaries.
+    """
+    batch = max(1, batch_size)
+    cap = max(batch, (CHECKPOINT_CHUNK // batch) * batch)
+    if check_interval is not None:
+        cap = min(cap, max(batch, -(-check_interval // batch) * batch))
+    return cap
+
+
+def _apply_chunk(algorithm, chunk: List, batch_size: int) -> None:
+    """Apply one batch-aligned chunk of operations to ``algorithm``.
 
     With ``batch_size > 1`` and an algorithm exposing ``apply_batch`` (the
-    core maintenance algorithms and :class:`~repro.baselines.dyn_arw.DyARW`),
-    the stream is fed through the batched update engine — coalescing plus
-    one repair pass per batch; algorithms without batch support (the DGDIS
-    baselines) silently fall back to per-operation application so batched
-    competitions stay runnable across the whole registry.
-
-    The time-limit cutoff is kept off the per-update hot path: without a
-    limit the loop carries no bookkeeping at all, and with a limit the
-    stopwatch is only consulted once per ``check_interval`` operations
-    (stride-wise via ``islice``) instead of evaluating a modulo-and-compare
-    on every single update.
+    core maintenance algorithms and :class:`~repro.baselines.dyn_arw.DyARW`)
+    every ``batch_size`` window goes through the batched update engine —
+    coalescing plus one repair pass per batch.  Unbatched runs, and
+    algorithms without batch support (the DGDIS baselines), apply each
+    operation through ``apply_update``.
     """
     apply_batch = getattr(algorithm, "apply_batch", None)
     if batch_size > 1 and apply_batch is not None:
-        iterator = iter(stream)
-        processed = 0
-        batch = list(islice(iterator, batch_size))
-        while batch:
-            apply_batch(batch)
-            processed += len(batch)
-            # Prefetch before consulting the stopwatch so a limit elapsing
-            # during the final batch never flags a completed run.
-            batch = (
-                list(islice(iterator, batch_size))
-                if len(batch) == batch_size
-                else []
-            )
-            if (
-                batch
-                and time_limit_seconds is not None
-                and stopwatch.peek() > time_limit_seconds
-            ):
-                return processed, False
-        return processed, True
+        for start in range(0, len(chunk), batch_size):
+            apply_batch(chunk[start : start + batch_size])
+        return
     apply_update = algorithm.apply_update
-    if time_limit_seconds is None:
-        processed = 0
-        for operation in stream:
-            apply_update(operation)
-            processed += 1
-        return processed, True
-    stride = max(1, check_interval)
-    iterator = iter(stream)
-    processed = 0
-    batch = list(islice(iterator, stride))
-    while batch:
-        for operation in batch:
-            apply_update(operation)
-        processed += len(batch)
-        # Prefetch the next stride so a limit that elapses during the *final*
-        # batch never flags a fully completed run as timed out — the
-        # stopwatch is only consulted when more work actually remains.
-        batch = list(islice(iterator, stride)) if len(batch) == stride else []
-        if batch and stopwatch.peek() > time_limit_seconds:
-            return processed, False
-    return processed, True
+    for operation in chunk:
+        apply_update(operation)
 
 
 @dataclass(frozen=True)
@@ -340,15 +301,15 @@ def _run_single(
     algorithm for its final graph/solution (the competition's shared
     reference).  The stream is consumed strictly as an iterator (``len()``
     is never called on it; a ``length_hint`` is recorded when the stream
-    offers one), so unbounded lazy streams run in O(batch window) memory.
-    Handles the optional checkpoint/resume wiring:
+    offers one), so unbounded lazy streams run in O(chunk) memory.  Every
+    chunk is pulled outside the stopwatch and applied inside it.  Handles
+    the optional checkpoint/resume wiring:
 
     * with ``checkpoint`` set, the stream is consumed through a hashing
       :class:`~repro.updates.protocol.StreamCursor` in chunks and a
       checkpoint recording ``(offset, prefix fingerprint)`` is written after
       every ``checkpoint.every`` operations and/or every
-      ``checkpoint.every_seconds`` of wall-clock time (checkpoint I/O and
-      fingerprinting are excluded from the measured update time),
+      ``checkpoint.every_seconds`` of wall-clock time,
     * with ``resume_from`` set, the algorithm is restored bit-for-bit from
       that checkpoint, the first ``processed`` operations of the stream are
       skipped by consuming the iterator, the fingerprint of the skipped
@@ -370,7 +331,7 @@ def _run_single(
     if guard_every is not None and guard_every < 1:
         raise ExperimentError("guard_every must be at least 1 when given")
     if checkpoint is not None:
-        if not _supports_snapshots(name, options):
+        if not supports_snapshots(name):
             # Fail before any stream work is done — discovering the missing
             # capability at the first save_checkpoint would burn a full
             # chunk of updates first.
@@ -455,11 +416,10 @@ def _run_single(
     )
     stopwatch = Stopwatch()
     # A hashing cursor is only paid for when the run writes checkpoints or
-    # fast-forwards a resume; plain runs consume the raw iterator.
+    # fast-forwards a resume; plain runs pull chunks from the raw iterator.
     cursor: Optional[StreamCursor] = None
     if checkpoint is not None or skip:
         cursor = StreamCursor(stream)
-        iterator: Iterator = cursor
     else:
         iterator = iter(stream)
     if skip:
@@ -479,91 +439,74 @@ def _run_single(
                 "would silently mix two runs"
             )
         if checkpoint is None:
-            # No further fingerprints are needed: hand the raw iterator to
-            # the timed loop so hashing never taxes the measured time.
+            # No further fingerprints are needed: pull the rest from the
+            # raw iterator so hashing stops.
             iterator = cursor.detach()
             cursor = None
+    if cursor is not None:
+        take = cursor.take
+    else:
+
+        def take(count: int) -> List:
+            return list(islice(iterator, count))
+
+    # One consumption rule for every run: each chunk is pulled outside the
+    # stopwatch and applied inside it, so ``elapsed_seconds`` is engine
+    # time whatever the checkpoint, resume or time-limit settings.  A
+    # chunk ends at the next multiple of ``checkpoint.every`` (checkpoint
+    # offsets land exactly on them), holds at most ``CHECKPOINT_CHUNK``
+    # operations (residency stays O(chunk), not O(every)), and at most one
+    # clock probe stride when a wall-clock interval is set (a short
+    # ``every_seconds`` trips long before a huge ``every`` would:
+    # "whichever trips first").  Every bound is a multiple of
+    # ``batch_size`` (``every`` is validated above), so chunk boundaries
+    # stay batch-aligned.
+    cap = _chunk_cap(batch_size, None if session_limit is None else check_interval)
+    clock_stride = WALL_CLOCK_STRIDE * max(1, batch_size)
+
+    def persist() -> None:
+        save_checkpoint(
+            algorithm,
+            checkpoint,
+            algorithm_name=name,
+            processed=processed,
+            initial_size=initial_size,
+            elapsed_seconds=elapsed_offset + stopwatch.elapsed,
+            dataset=dataset,
+            stream_length=stream_length,
+            stream_description=description,
+            stream_identity=cursor.fingerprint,
+            batch_size=batch_size,
+        )
+
     processed = skip
     finished = True
+    pending = 0  # operations applied since the last checkpoint write
+    since_guard = 0  # operations applied since the last guard pass
+    last_write = time.monotonic()
     if session_limit is not None and session_limit <= 0:
         finished = stream_length is not None and processed >= stream_length
-    elif checkpoint is None:
-        with stopwatch:
-            done, finished = _timed_stream_run(
-                algorithm,
-                iterator,
-                stopwatch,
-                session_limit,
-                check_interval,
-                batch_size,
-            )
-        processed += done
     else:
-        assert cursor is not None
-        # Chunking: each iteration materialises one bounded chunk (outside
-        # the stopwatch) and the checkpoint fires once the operations since
-        # the last write reach ``every`` and/or the wall clock passes
-        # ``every_seconds``.  The chunk is sized to the *remaining* distance
-        # to the next operation-interval checkpoint — so checkpoint offsets
-        # land exactly on multiples of ``every`` — but never beyond
-        # ``CHECKPOINT_CHUNK`` (residency stays O(chunk), not O(every)) nor,
-        # when a wall-clock interval is set, beyond the clock probe stride
-        # (a short ``every_seconds`` trips long before a huge ``every``
-        # chunk would complete: "whichever trips first").  All candidates
-        # are multiples of ``batch_size`` (``every`` is validated above),
-        # so chunk boundaries stay batch-aligned.
-        clock_stride = (
-            WALL_CLOCK_STRIDE * batch_size if batch_size > 1 else WALL_CLOCK_STRIDE
-        )
-        chunk_cap = (
-            max(batch_size, (CHECKPOINT_CHUNK // batch_size) * batch_size)
-            if batch_size > 1
-            else CHECKPOINT_CHUNK
-        )
-
-        def persist() -> None:
-            save_checkpoint(
-                algorithm,
-                checkpoint,
-                algorithm_name=name,
-                processed=processed,
-                initial_size=initial_size,
-                elapsed_seconds=elapsed_offset + stopwatch.elapsed,
-                dataset=dataset,
-                stream_length=stream_length,
-                stream_description=description,
-                stream_identity=cursor.fingerprint,
-                batch_size=batch_size,
-            )
-
-        pending = 0  # operations applied since the last checkpoint write
-        since_guard = 0  # operations applied since the last guard pass
-        last_write = time.monotonic()
         while True:
-            if checkpoint.every is not None:
-                stride = min(checkpoint.every - pending, chunk_cap)
-                if checkpoint.every_seconds is not None:
-                    stride = min(stride, clock_stride)
-            else:
-                stride = clock_stride
-            chunk = cursor.take(stride)
+            stride = cap
+            if checkpoint is not None and checkpoint.every is not None:
+                stride = min(stride, checkpoint.every - pending)
+            if checkpoint is not None and checkpoint.every_seconds is not None:
+                stride = min(stride, clock_stride)
+            chunk = take(stride)
             if not chunk:
                 break
-            with stopwatch:
-                done, chunk_finished = _timed_stream_run(
-                    algorithm,
-                    chunk,
-                    stopwatch,
-                    session_limit,
-                    check_interval,
-                    batch_size,
-                )
-            processed += done
-            pending += done
-            since_guard += done
-            if not chunk_finished:
+            # The limit is checked only once a non-empty chunk is waiting, so
+            # a limit elapsing during the final chunk never flags a completed
+            # run.
+            if session_limit is not None and stopwatch.elapsed > session_limit:
                 finished = False
                 break
+            with stopwatch:
+                _apply_chunk(algorithm, chunk, batch_size)
+            processed += len(chunk)
+            pending += len(chunk)
+            since_guard += len(chunk)
             if guard is not None and (
                 guard_every is None or since_guard >= guard_every
             ):
@@ -571,30 +514,28 @@ def _run_single(
                 # supervision overhead, never measured update time.
                 guard(algorithm)
                 since_guard = 0
-            due = (
-                checkpoint.every is not None and pending >= checkpoint.every
-            ) or (
-                checkpoint.every_seconds is not None
-                and time.monotonic() - last_write >= checkpoint.every_seconds
-            )
-            if due:
-                # Checkpoint I/O happens outside the stopwatch: persisting
-                # state must not count as update time.
+            if checkpoint is not None and (
+                (checkpoint.every is not None and pending >= checkpoint.every)
+                or (
+                    checkpoint.every_seconds is not None
+                    and time.monotonic() - last_write >= checkpoint.every_seconds
+                )
+            ):
+                # Outside the stopwatch: checkpoint I/O is never update time.
                 persist()
                 pending = 0
                 last_write = time.monotonic()
             if len(chunk) < stride:
                 break
-        if guard is not None and finished and since_guard:
-            # End-of-stream guard pass: the final partial interval is
-            # verified too, so a violation in the last chunk cannot slip
-            # into the returned measurement unchecked.
-            guard(algorithm)
-        if finished and pending:
-            # Wall-clock-only configs still leave a resumable checkpoint
-            # at end of stream (operation-interval configs wrote it
-            # in-loop).
-            persist()
+    if guard is not None and finished and since_guard:
+        # End-of-stream guard pass: the final partial interval is verified
+        # too, so a violation in the last chunk cannot slip into the
+        # returned measurement unchecked.
+        guard(algorithm)
+    if checkpoint is not None and finished and pending:
+        # Wall-clock-only configs still leave a resumable checkpoint at end
+        # of stream (operation-interval configs wrote it in-loop).
+        persist()
     measurement = RunMeasurement(
         algorithm=name,
         dataset=dataset,
@@ -628,8 +569,13 @@ def run_algorithm(
     """Run one algorithm over one update stream and measure it.
 
     The graph is copied, so the same input graph and stream can be reused for
-    several algorithms.  Only the stream-processing phase is timed; building
-    the initial solution and indexes is excluded, as in the paper.
+    several algorithms.  The stream is pulled in batch-aligned chunks of at
+    most :data:`CHECKPOINT_CHUNK` operations outside the stopwatch, and each
+    chunk is applied inside it, so ``elapsed_seconds`` is engine time only
+    (``apply_batch`` / ``apply_update``) in every mode, with or without
+    checkpoints, resumes and time limits.  Building the initial solution
+    and indexes, parsing and windowing the stream, fingerprinting and
+    checkpoint I/O are excluded, as in the paper.
 
     Parameters
     ----------
@@ -638,8 +584,10 @@ def run_algorithm(
         updates; the measurement is returned with ``finished=False`` (the
         paper reports such runs as "-").
     check_interval:
-        How often (in updates) the time limit is checked.  The check runs
-        once per stride, so the cutoff adds no per-update overhead.
+        How often (in updates) the time limit is checked.  With a limit set,
+        chunks hold at most ``check_interval`` operations rounded up to a
+        multiple of ``batch_size``, and the limit is checked between chunks,
+        so the cutoff adds no per-update overhead.
     batch_size:
         When greater than one, feed the stream through the batched update
         engine (coalescing plus one repair pass per batch); algorithms
@@ -711,7 +659,7 @@ def _run_sequential(
         algorithm_checkpoint = checkpoint
         resume_from = None
         if checkpoint is not None:
-            if not _supports_snapshots(name, options):
+            if not supports_snapshots(name):
                 algorithm_checkpoint = None
             elif resume:
                 # Validated discovery: a torn or rotted newest checkpoint is
@@ -774,10 +722,8 @@ def _run_fanout(
     stopwatches = {name: Stopwatch() for name in names}
     processed = {name: 0 for name in names}
     running = {name: True for name in names}
-    chunk_size = (
-        max(batch_size, (CHECKPOINT_CHUNK // batch_size) * batch_size)
-        if batch_size > 1
-        else CHECKPOINT_CHUNK
+    chunk_size = _chunk_cap(
+        batch_size, None if time_limit_seconds is None else check_interval
     )
     iterator = iter(stream)
     consumed = 0
@@ -790,18 +736,14 @@ def _run_fanout(
             if not running[name]:
                 continue
             stopwatch = stopwatches[name]
-            with stopwatch:
-                done, chunk_finished = _timed_stream_run(
-                    engines[name],
-                    chunk,
-                    stopwatch,
-                    time_limit_seconds,
-                    check_interval,
-                    batch_size,
-                )
-            processed[name] += done
-            if not chunk_finished:
+            if time_limit_seconds is not None and stopwatch.elapsed > time_limit_seconds:
+                # Checked only with a non-empty chunk waiting, as in
+                # :func:`_run_single`.
                 running[name] = False
+                continue
+            with stopwatch:
+                _apply_chunk(engines[name], chunk, batch_size)
+            processed[name] += len(chunk)
         if len(chunk) < chunk_size:
             break
     # The single pass above is the whole consumption — a second

@@ -17,11 +17,9 @@ each is discoverable by filename alone.
 
 from __future__ import annotations
 
-import bisect
 import json
 import os
 import re
-import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -145,70 +143,28 @@ def checkpoint_path(directory: PathLike, algorithm_name: str, processed: int) ->
     return Path(directory) / f"{safe}-{processed:010d}.ckpt.json"
 
 
-#: Known checkpoints per (resolved directory, algorithm name), kept sorted by
-#: offset.  Maintained incrementally by :func:`save_checkpoint` so keep-N
-#: pruning does not re-list the directory on every write; a directory scan
-#: happens only on first use of a key or when the ledger disagrees with disk
-#: (a file it expected to prune is already gone — some other process owns the
-#: directory too, so the cached view is rebuilt from a fresh scan).
-_PRUNE_LEDGER: Dict[Tuple[str, str], List[Tuple[int, Path]]] = {}
-#: The ledger is process-wide, and a gateway running in a
-#: :class:`~repro.service.client.ServiceThread` checkpoints from its own thread.
-_PRUNE_LOCK = threading.Lock()
+def _prune(directory: Path, algorithm_name: str, keep: int) -> None:
+    """Unlink all but the newest ``keep`` checkpoints of ``algorithm_name``.
 
-
-def invalidate_prune_ledger(directory: Optional[PathLike] = None) -> None:
-    """Drop cached checkpoint listings (all of them, or one directory's).
-
-    For callers that mutate a checkpoint directory behind
-    :func:`save_checkpoint`'s back (tests, manual cleanup): the next write
-    falls back to a directory scan instead of trusting the stale ledger.
-    """
-    with _PRUNE_LOCK:
-        if directory is None:
-            _PRUNE_LEDGER.clear()
-            return
-        resolved = str(Path(directory).resolve())
-        for key in [k for k in _PRUNE_LEDGER if k[0] == resolved]:
-            del _PRUNE_LEDGER[key]
-
-
-def _record_and_prune(
-    directory: Path, algorithm_name: str, processed: int, path: Path, keep: int
-) -> None:
-    """Register a just-committed checkpoint and prune beyond the keep limit.
-
-    Runs strictly *after* the durable commit (see :func:`save_checkpoint`).
-    Pruning is best-effort — a file another process already removed
-    invalidates the ledger (rescan next write), and a file we lack
-    permission to unlink degrades to a warning; neither may fail the run
+    Runs strictly *after* the durable commit (see :func:`save_checkpoint`)
+    and rescans the directory each time (tens of µs against a write of
+    milliseconds), so files removed behind the writer's back never confuse
+    it.  Pruning is best-effort: a file already gone is skipped, and a file
+    that cannot be unlinked degrades to a warning; neither may fail the run
     that just checkpointed successfully.
     """
-    key = (str(directory.resolve()), _SAFE.sub("_", algorithm_name))
-    with _PRUNE_LOCK:
-        known = _PRUNE_LEDGER.get(key)
-        if known is None:
-            known = _PRUNE_LEDGER[key] = find_checkpoints(directory, algorithm_name)
-        entry = (processed, path)
-        index = bisect.bisect_left(known, entry)
-        if index >= len(known) or known[index] != entry:
-            known.insert(index, entry)
-        stale = known[: max(0, len(known) - keep)]
-        del known[: len(stale)]
-        for _, victim in stale:
-            try:
-                victim.unlink()
-            except FileNotFoundError:
-                # Disk disagrees with the ledger: another writer pruned (or a
-                # test cleaned up) behind our back.  Rebuild from a scan next
-                # time instead of trusting any other cached entry.
-                _PRUNE_LEDGER.pop(key, None)
-            except OSError as exc:
-                warnings.warn(
-                    f"could not prune stale checkpoint {victim}: {exc}",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
+    found = find_checkpoints(directory, algorithm_name)
+    for _, victim in found[: max(0, len(found) - keep)]:
+        try:
+            victim.unlink()
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            warnings.warn(
+                f"could not prune stale checkpoint {victim}: {exc}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
 
 
 def save_checkpoint(
@@ -276,11 +232,9 @@ def save_checkpoint(
         stream.write(text[half:])
     # Prune strictly *after* the new checkpoint is durably committed: a
     # crash between write and prune leaves extra files (harmless), never
-    # fewer resumable states than promised.  The known-checkpoint list is
-    # maintained incrementally (the directory is scanned only on first use
-    # of this directory/algorithm pair, or after a disk/ledger mismatch).
+    # fewer resumable states than promised.
     if keep is not None:
-        _record_and_prune(directory, algorithm_name, processed, path, keep)
+        _prune(directory, algorithm_name, keep)
     return path
 
 

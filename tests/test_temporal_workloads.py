@@ -193,13 +193,28 @@ class TestWindowingPolicies:
         stream.apply_all(graph)
         assert graph.has_edge(0, 1)
 
-    def test_streams_are_valid_by_construction(self):
+    @pytest.mark.parametrize("gc_isolated", [True, False])
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            {"window": 12.0},
+            {"max_live": 60},
+            {"window": 12.0, "max_live": 60},
+            {},
+        ],
+        ids=["window", "max_live", "both", "neither"],
+    )
+    def test_streams_are_valid_by_construction(self, policy, gc_isolated):
+        # The windower keeps only degrees and live edges; a real graph is
+        # the oracle that every emitted operation is applicable.
         events = synthetic_temporal_events(400, num_vertices=50, seed=9)
-        stream = temporal_update_stream(events, window=12.0, max_live=60)
+        stream = temporal_update_stream(events, gc_isolated=gc_isolated, **policy)
         graph = DynamicGraph()
         stream.apply_all(graph)  # would raise UpdateError on any invalid op
         assert graph.num_vertices == stream.metadata["final_vertices"]
         assert graph.num_edges == stream.metadata["final_edges"]
+        if gc_isolated and policy:
+            assert all(graph.degree(vertex) > 0 for vertex in graph.vertices())
 
     def test_invalid_policy_parameters(self):
         with pytest.raises(UpdateError):
