@@ -40,7 +40,13 @@ from typing import Dict, Iterable, Optional, Sequence, Set
 from repro.baselines.greedy import extend_to_maximal_slots, min_degree_greedy_slots
 from repro.exceptions import SolutionInvariantError, UpdateError, VertexNotFoundError
 from repro.graphs.dynamic_graph import DynamicGraph, Vertex
-from repro.updates.operations import UpdateKind, UpdateOperation
+from repro.updates.operations import (
+    DELETE_EDGE,
+    DELETE_VERTEX,
+    INSERT_EDGE,
+    INSERT_VERTEX,
+    UpdateOperation,
+)
 
 
 @dataclass
@@ -120,13 +126,13 @@ class DGOneDIS:
     def apply_update(self, operation: UpdateOperation) -> None:
         """Apply one structural update, repairing the solution via the index."""
         kind = operation.kind
-        if kind is UpdateKind.INSERT_VERTEX:
+        if kind is INSERT_VERTEX:
             self._handle_insert_vertex(operation.vertex, operation.neighbors)
-        elif kind is UpdateKind.DELETE_VERTEX:
+        elif kind is DELETE_VERTEX:
             self._handle_delete_vertex(operation.vertex)
-        elif kind is UpdateKind.INSERT_EDGE:
+        elif kind is INSERT_EDGE:
             self._handle_insert_edge(*operation.edge)
-        elif kind is UpdateKind.DELETE_EDGE:
+        elif kind is DELETE_EDGE:
             self._handle_delete_edge(*operation.edge)
         else:  # pragma: no cover - exhaustive enum
             raise UpdateError(f"unknown update kind {kind!r}")
@@ -187,9 +193,10 @@ class DGOneDIS:
     # ------------------------------------------------------------------ #
     def _handle_insert_vertex(self, vertex: Vertex, neighbors: Sequence[Vertex]) -> None:
         graph = self.graph
+        neighbor_slots = graph.new_vertex_neighbor_slots(vertex, neighbors)
         slot = graph.add_vertex_slot(vertex)
-        for nbr in neighbors:
-            graph.add_edge_slots(slot, graph.slot_of(nbr))
+        for t in neighbor_slots:
+            graph.add_edge_slots(slot, t)
         owners = self._adj[slot] & self._solution
         if not owners:
             self._solution.add(slot)

@@ -52,8 +52,14 @@ from repro.exceptions import SolutionInvariantError, UpdateError, VertexNotFound
 from repro.graphs.dynamic_graph import _FREE, DynamicGraph, Vertex
 from repro.resilience.faults import BULK_APPLY, trip
 from repro.updates.coalesce import coalesce_batch
-from repro.updates.operations import UpdateKind, UpdateOperation
-from repro.updates.protocol import chunked
+from repro.updates.operations import (
+    DELETE_EDGE,
+    DELETE_VERTEX,
+    INSERT_EDGE,
+    INSERT_VERTEX,
+    UpdateOperation,
+)
+from repro.updates.protocol import chunked, reject_single_operation
 
 
 @dataclass
@@ -265,8 +271,10 @@ class DynamicMISBase(abc.ABC):
         ``operations`` may be any iterable — a materialised list or an
         unbounded generator.  The stream is consumed strictly one operation
         (or one ``batch_size`` window) at a time, so the engine's resident
-        footprint is independent of the stream length.
+        footprint is independent of the stream length.  A lone operation
+        is refused with :class:`UpdateError`.
         """
+        reject_single_operation(operations, "apply_stream")
         if batch_size <= 1:
             # Inlined apply_update: one dispatch per operation with all
             # attribute lookups hoisted out of the loop (this is the hot loop
@@ -279,13 +287,13 @@ class DynamicMISBase(abc.ABC):
             handle_delete_vertex = self._handle_delete_vertex
             for operation in operations:
                 kind = operation.kind
-                if kind is UpdateKind.INSERT_EDGE:
+                if kind is INSERT_EDGE:
                     handle_insert_edge(*operation.edge)
-                elif kind is UpdateKind.DELETE_EDGE:
+                elif kind is DELETE_EDGE:
                     handle_delete_edge(*operation.edge)
-                elif kind is UpdateKind.INSERT_VERTEX:
+                elif kind is INSERT_VERTEX:
                     handle_insert_vertex(operation.vertex, operation.neighbors)
-                elif kind is UpdateKind.DELETE_VERTEX:
+                elif kind is DELETE_VERTEX:
                     handle_delete_vertex(operation.vertex)
                 else:  # pragma: no cover - exhaustive enum
                     raise UpdateError(f"unknown update kind {kind!r}")
@@ -342,7 +350,11 @@ class DynamicMISBase(abc.ABC):
         ``coalesce=False`` skips validation entirely and assumes a valid
         sequence — an invalid one raises mid-apply and may leave the batch
         partially applied with its repair pass not yet run.
+
+        A lone operation (a tuple) is refused with :class:`UpdateError`
+        instead of being read as a batch of its four fields.
         """
+        reject_single_operation(operations, "apply_batch")
         ops = operations if isinstance(operations, list) else list(operations)
         if not ops:
             return
@@ -494,7 +506,7 @@ class DynamicMISBase(abc.ABC):
         i = 0
         while i < n:
             kind = ops[i].kind
-            if kind is UpdateKind.INSERT_EDGE or kind is UpdateKind.DELETE_EDGE:
+            if kind is INSERT_EDGE or kind is DELETE_EDGE:
                 # Maximal run of same-kind edge operations (the coalescer
                 # emits them phase-grouped, so runs are long): translate the
                 # labels in one pass, mutate the slot arrays in one pass.
@@ -504,7 +516,7 @@ class DynamicMISBase(abc.ABC):
                 pairs = graph.resolve_edge_slots(
                     ops[t].edge for t in range(i, j)
                 )
-                if kind is UpdateKind.INSERT_EDGE:
+                if kind is INSERT_EDGE:
                     # Count increases need neither repair nor registration
                     # (see _apply_net_batch).
                     _bumped, conflicts = state.add_edges_slots_bulk(pairs)
@@ -517,13 +529,13 @@ class DynamicMISBase(abc.ABC):
                 continue
             operation = ops[i]
             i += 1
-            if kind is UpdateKind.INSERT_VERTEX:
+            if kind is INSERT_VERTEX:
                 slot, count = state.add_vertex_slot(
                     operation.vertex, operation.neighbors
                 )
                 if count <= k:
                     touched_add(slot)
-            elif kind is UpdateKind.DELETE_VERTEX:
+            elif kind is DELETE_VERTEX:
                 try:
                     slot = slot_map[operation.vertex]
                 except KeyError:
@@ -582,13 +594,13 @@ class DynamicMISBase(abc.ABC):
     def _dispatch(self, operation: UpdateOperation) -> None:
         """Apply the structural part of one update (no candidate drain)."""
         kind = operation.kind
-        if kind is UpdateKind.INSERT_EDGE:
+        if kind is INSERT_EDGE:
             self._handle_insert_edge(*operation.edge)
-        elif kind is UpdateKind.DELETE_EDGE:
+        elif kind is DELETE_EDGE:
             self._handle_delete_edge(*operation.edge)
-        elif kind is UpdateKind.INSERT_VERTEX:
+        elif kind is INSERT_VERTEX:
             self._handle_insert_vertex(operation.vertex, operation.neighbors)
-        elif kind is UpdateKind.DELETE_VERTEX:
+        elif kind is DELETE_VERTEX:
             self._handle_delete_vertex(operation.vertex)
         else:  # pragma: no cover - exhaustive enum
             raise UpdateError(f"unknown update kind {kind!r}")

@@ -316,32 +316,26 @@ class LazyMISState:
         self, vertex: Vertex, neighbors: Iterable[Vertex]
     ) -> Tuple[int, int]:
         graph = self.graph
+        # Validated before the first mutation (see MISState.add_vertex_slot).
+        neighbor_slots = graph.new_vertex_neighbor_slots(vertex, neighbors)
         slot = graph.add_vertex_slot(vertex)
         self._ensure_slot(slot)
         # Fused edge loop (inlines graph.add_edge_slots; see MISState).
         count = 0
-        if neighbors:
-            slot_of = graph.slot_of
+        if neighbor_slots:
             adj = self._adj
             adj_s = adj[slot]  # freshly allocated: _alloc made it private
             in_sol = self._in_sol
             gcow = graph._cow_adj
-            n = 0
-            for nbr in neighbors:
-                t = slot_of(nbr)
-                if t == slot:
-                    raise SelfLoopError(vertex)
-                if t in adj_s:
-                    raise EdgeExistsError(vertex, nbr)
+            for t in neighbor_slots:
                 adj_s.add(t)
                 if gcow is not None and not gcow[t]:
                     adj[t] = set(adj[t])
                     gcow[t] = 1
                 adj[t].add(slot)
-                n += 1
                 if in_sol[t]:
                     count += 1
-            graph._num_edges += n
+            graph._num_edges += len(neighbor_slots)
         self._count[slot] = count
         return slot, count
 

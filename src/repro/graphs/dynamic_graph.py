@@ -283,6 +283,41 @@ class DynamicGraph:
             raise VertexExistsError(vertex)
         return self._alloc(vertex)
 
+    def new_vertex_neighbor_slots(
+        self, vertex: Vertex, neighbors: Iterable[Vertex]
+    ) -> List[int]:
+        """Validate inserting ``vertex`` joined to ``neighbors``; return their slots.
+
+        Everything such an insertion can fail on is checked here, before
+        anything is mutated, so a rejected insertion leaves the graph as it
+        was.  Slots come back in ``neighbors`` order.
+
+        Raises
+        ------
+        VertexExistsError
+            If ``vertex`` is already present.
+        SelfLoopError, VertexNotFoundError, EdgeExistsError
+            For the first neighbour equal to ``vertex``, missing from the
+            graph, or repeated.
+        """
+        slot_map = self._slot
+        if vertex in slot_map:
+            raise VertexExistsError(vertex)
+        slots: List[int] = []
+        if neighbors:
+            seen: Set[int] = set()
+            for nbr in neighbors:
+                if nbr == vertex:
+                    raise SelfLoopError(vertex)
+                t = slot_map.get(nbr)
+                if t is None:
+                    raise VertexNotFoundError(nbr)
+                if t in seen:
+                    raise EdgeExistsError(vertex, nbr)
+                seen.add(t)
+                slots.append(t)
+        return slots
+
     def resolve_edge_slots(
         self, edges: Iterable[Edge]
     ) -> List[Tuple[int, int]]:

@@ -54,6 +54,7 @@ from repro.resilience.integrity import (
     DIGEST_KEY,
     document_digest,
     embed_digest,
+    sealed_text,
     verify_document,
 )
 
@@ -98,6 +99,7 @@ __all__ = [
     "DIGEST_KEY",
     "document_digest",
     "embed_digest",
+    "sealed_text",
     "verify_document",
     # supervisor (lazy)
     *_SUPERVISOR_EXPORTS,

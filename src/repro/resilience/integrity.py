@@ -11,12 +11,15 @@ redundancy to *detect* corruption on load.
 
 The scheme is deliberately minimal: the digest of a document is the
 SHA-256 of its canonical JSON serialisation (sorted keys, no whitespace)
-**excluding** the digest field itself.  :func:`embed_digest` stamps it,
-:func:`verify_document` checks it and raises
-:class:`~repro.exceptions.IntegrityError` on mismatch.  Canonical
-serialisation makes the digest independent of key order and formatting,
-so re-writing an artifact with a different JSON encoder does not
-invalidate it — only changing the *data* does.
+**excluding** the digest field itself.  :func:`sealed_text` is what the
+checkpoint and snapshot writers put on disk: that canonical text with the
+digest member spliced in, so a document is serialised once per write.
+:func:`verify_document` checks a loaded document and raises
+:class:`~repro.exceptions.IntegrityError` on mismatch.  It re-canonicalises
+what it loaded, so the digest is independent of key order and formatting:
+files written as ``json.dumps(embed_digest(document))`` (the layout before
+:func:`sealed_text`) load as well — only changing the *data* invalidates
+an artifact.
 """
 
 from __future__ import annotations
@@ -31,15 +34,33 @@ from repro.exceptions import IntegrityError
 DIGEST_KEY = "sha256"
 
 
+def _canonical_text(document: Dict[str, Any]) -> str:
+    body = {key: value for key, value in document.items() if key != DIGEST_KEY}
+    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_bytes(document: Dict[str, Any]) -> bytes:
     """The canonical serialisation of ``document`` (digest field excluded)."""
-    body = {key: value for key, value in document.items() if key != DIGEST_KEY}
-    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _canonical_text(document).encode("utf-8")
 
 
 def document_digest(document: Dict[str, Any]) -> str:
     """Hex SHA-256 of the canonical serialisation of ``document``."""
     return hashlib.sha256(canonical_bytes(document)).hexdigest()
+
+
+def sealed_text(document: Dict[str, Any]) -> str:
+    """The canonical JSON text of ``document`` with its digest embedded.
+
+    One serialisation: the canonical text is hashed, then the digest
+    member is spliced in before its closing brace.  The result parses to
+    ``document`` plus :data:`DIGEST_KEY`, which :func:`verify_document`
+    accepts.
+    """
+    text = _canonical_text(document)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    separator = "," if len(text) > 2 else ""  # "{}" has no member to follow
+    return f'{text[:-1]}{separator}"{DIGEST_KEY}":"{digest}"}}'
 
 
 def embed_digest(document: Dict[str, Any]) -> Dict[str, Any]:

@@ -51,7 +51,13 @@ from typing import Dict, Hashable, Iterable, List, Tuple
 from repro.exceptions import UpdateError
 from repro.graphs.dynamic_graph import DynamicGraph, Vertex
 from repro.resilience.faults import COALESCE, trip
-from repro.updates.operations import UpdateKind, UpdateOperation
+from repro.updates.operations import (
+    DELETE_EDGE,
+    DELETE_VERTEX,
+    INSERT_EDGE,
+    INSERT_VERTEX,
+    UpdateOperation,
+)
 
 
 @dataclass
@@ -150,9 +156,6 @@ def coalesce_batch(
     slot_get = slot_map.get
     adj = graph.adjacency_slots_view()
     labels = graph.labels_view()
-    INSERT_EDGE = UpdateKind.INSERT_EDGE
-    DELETE_EDGE = UpdateKind.DELETE_EDGE
-    INSERT_VERTEX = UpdateKind.INSERT_VERTEX
 
     def _index_all() -> None:
         """Retroactively index every touched edge under both endpoints."""
@@ -313,7 +316,7 @@ def coalesce_batch(
                 else:
                     e_entry[3] = True
         else:  # DELETE_VERTEX (any unknown kind falls through to UpdateError)
-            if kind is not UpdateKind.DELETE_VERTEX:  # pragma: no cover
+            if kind is not DELETE_VERTEX:  # pragma: no cover
                 raise UpdateError(f"unknown update kind {kind!r}")
             if not indexing:
                 indexing = True

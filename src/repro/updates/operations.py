@@ -9,9 +9,8 @@ differs from its predecessor by a single vertex/edge insertion or deletion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import UpdateError
 from repro.graphs.dynamic_graph import DynamicGraph, Vertex
@@ -26,9 +25,24 @@ class UpdateKind(str, Enum):
     DELETE_EDGE = "delete_edge"
 
 
-@dataclass(frozen=True)
-class UpdateOperation:
+# Enum member reads cost 0.1-0.2 µs each on CPython 3.11, a large share of
+# a per-operation step: every per-operation path (constructors, dispatch,
+# coalescer, fingerprint, wire encoding) compares against these constants.
+INSERT_VERTEX = UpdateKind.INSERT_VERTEX
+DELETE_VERTEX = UpdateKind.DELETE_VERTEX
+INSERT_EDGE = UpdateKind.INSERT_EDGE
+DELETE_EDGE = UpdateKind.DELETE_EDGE
+
+_new = tuple.__new__
+
+
+class UpdateOperation(NamedTuple):
     """One update in a dynamic graph sequence.
+
+    An immutable 4-tuple ``(kind, vertex, edge, neighbors)``: one is built
+    per operation on every ingest path, and a tuple costs a fraction of a
+    frozen dataclass to construct.  The field order is part of the
+    contract.  Build operations with the static constructors below.
 
     Attributes
     ----------
@@ -47,34 +61,32 @@ class UpdateOperation:
     kind: UpdateKind
     vertex: Optional[Vertex] = None
     edge: Optional[Tuple[Vertex, Vertex]] = None
-    neighbors: Tuple[Vertex, ...] = field(default_factory=tuple)
+    neighbors: Tuple[Vertex, ...] = ()
 
     # ------------------------------------------------------------------ #
-    # Constructors
+    # Constructors (tuple.__new__ skips the generated keyword __new__)
     # ------------------------------------------------------------------ #
     @staticmethod
     def insert_vertex(vertex: Vertex, neighbors: Sequence[Vertex] = ()) -> "UpdateOperation":
         """Create a vertex-insertion operation (optionally with incident edges)."""
-        return UpdateOperation(
-            kind=UpdateKind.INSERT_VERTEX, vertex=vertex, neighbors=tuple(neighbors)
-        )
+        return _new(UpdateOperation, (INSERT_VERTEX, vertex, None, tuple(neighbors)))
 
     @staticmethod
     def delete_vertex(vertex: Vertex) -> "UpdateOperation":
         """Create a vertex-deletion operation."""
-        return UpdateOperation(kind=UpdateKind.DELETE_VERTEX, vertex=vertex)
+        return _new(UpdateOperation, (DELETE_VERTEX, vertex, None, ()))
 
     @staticmethod
     def insert_edge(u: Vertex, v: Vertex) -> "UpdateOperation":
         """Create an edge-insertion operation."""
         if u == v:
             raise UpdateError("cannot insert a self loop")
-        return UpdateOperation(kind=UpdateKind.INSERT_EDGE, edge=(u, v))
+        return _new(UpdateOperation, (INSERT_EDGE, None, (u, v), ()))
 
     @staticmethod
     def delete_edge(u: Vertex, v: Vertex) -> "UpdateOperation":
         """Create an edge-deletion operation."""
-        return UpdateOperation(kind=UpdateKind.DELETE_EDGE, edge=(u, v))
+        return _new(UpdateOperation, (DELETE_EDGE, None, (u, v), ()))
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -82,7 +94,7 @@ class UpdateOperation:
     @property
     def is_insertion(self) -> bool:
         """True for insert-vertex / insert-edge operations."""
-        return self.kind in (UpdateKind.INSERT_VERTEX, UpdateKind.INSERT_EDGE)
+        return self.kind in (INSERT_VERTEX, INSERT_EDGE)
 
     @property
     def is_deletion(self) -> bool:
@@ -92,7 +104,7 @@ class UpdateOperation:
     @property
     def is_vertex_operation(self) -> bool:
         """True for vertex insert/delete operations."""
-        return self.kind in (UpdateKind.INSERT_VERTEX, UpdateKind.DELETE_VERTEX)
+        return self.kind in (INSERT_VERTEX, DELETE_VERTEX)
 
     @property
     def is_edge_operation(self) -> bool:
@@ -106,11 +118,12 @@ class UpdateOperation:
         return self.edge
 
     def __str__(self) -> str:
-        if self.kind is UpdateKind.INSERT_VERTEX:
+        kind = self.kind
+        if kind is INSERT_VERTEX:
             return f"+v {self.vertex} ~ {list(self.neighbors)}"
-        if self.kind is UpdateKind.DELETE_VERTEX:
+        if kind is DELETE_VERTEX:
             return f"-v {self.vertex}"
-        if self.kind is UpdateKind.INSERT_EDGE:
+        if kind is INSERT_EDGE:
             return f"+e {self.edge}"
         return f"-e {self.edge}"
 
@@ -125,18 +138,25 @@ def apply_update(graph: DynamicGraph, operation: UpdateOperation) -> None:
         and so on).  The underlying graph exceptions are chained for context.
     """
     try:
-        if operation.kind is UpdateKind.INSERT_VERTEX:
-            graph.add_vertex(operation.vertex)
-            for nbr in operation.neighbors:
-                graph.add_edge(operation.vertex, nbr)
-        elif operation.kind is UpdateKind.DELETE_VERTEX:
+        kind = operation.kind
+        if kind is INSERT_VERTEX:
+            vertex = operation.vertex
+            # Validated before the first mutation: a rejected insertion
+            # leaves the graph untouched.
+            neighbor_slots = graph.new_vertex_neighbor_slots(
+                vertex, operation.neighbors
+            )
+            slot = graph.add_vertex_slot(vertex)
+            for t in neighbor_slots:
+                graph.add_edge_slots(slot, t)
+        elif kind is DELETE_VERTEX:
             graph.remove_vertex(operation.vertex)
-        elif operation.kind is UpdateKind.INSERT_EDGE:
+        elif kind is INSERT_EDGE:
             graph.add_edge(*operation.edge)
-        elif operation.kind is UpdateKind.DELETE_EDGE:
+        elif kind is DELETE_EDGE:
             graph.remove_edge(*operation.edge)
         else:  # pragma: no cover - exhaustive enum
-            raise UpdateError(f"unknown update kind {operation.kind!r}")
+            raise UpdateError(f"unknown update kind {kind!r}")
     except UpdateError:
         raise
     except Exception as exc:
@@ -149,14 +169,14 @@ def invert_update(graph: DynamicGraph, operation: UpdateOperation) -> UpdateOper
     Must be called *before* ``operation`` is applied for deletions (so the
     incident edges of a deleted vertex can be captured).
     """
-    if operation.kind is UpdateKind.INSERT_VERTEX:
+    if operation.kind is INSERT_VERTEX:
         return UpdateOperation.delete_vertex(operation.vertex)
-    if operation.kind is UpdateKind.DELETE_VERTEX:
+    if operation.kind is DELETE_VERTEX:
         if not graph.has_vertex(operation.vertex):
             raise UpdateError(f"cannot invert deletion of missing vertex {operation.vertex!r}")
         return UpdateOperation.insert_vertex(
             operation.vertex, sorted(graph.neighbors(operation.vertex), key=graph.order_of)
         )
-    if operation.kind is UpdateKind.INSERT_EDGE:
+    if operation.kind is INSERT_EDGE:
         return UpdateOperation.delete_edge(*operation.edge)
     return UpdateOperation.insert_edge(*operation.edge)

@@ -42,8 +42,16 @@ from hashlib import sha256
 from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
+from repro.exceptions import UpdateError
 from repro.resilience.faults import STREAM_READ, trip
-from repro.updates.operations import UpdateKind, UpdateOperation, apply_update
+from repro.updates.operations import (
+    DELETE_EDGE,
+    DELETE_VERTEX,
+    INSERT_EDGE,
+    INSERT_VERTEX,
+    UpdateOperation,
+    apply_update,
+)
 
 
 # --------------------------------------------------------------------- #
@@ -57,13 +65,14 @@ def encode_operation(operation: UpdateOperation) -> List:
     (no id()/hash values).
     """
     kind = operation.kind
-    if kind is UpdateKind.INSERT_VERTEX:
+    if kind is INSERT_VERTEX:
         return ["+v", operation.vertex, list(operation.neighbors)]
-    if kind is UpdateKind.DELETE_VERTEX:
+    if kind is DELETE_VERTEX:
         return ["-v", operation.vertex]
-    if kind is UpdateKind.INSERT_EDGE:
-        return ["+e", operation.edge[0], operation.edge[1]]
-    return ["-e", operation.edge[0], operation.edge[1]]
+    u, v = operation.edge
+    if kind is INSERT_EDGE:
+        return ["+e", u, v]
+    return ["-e", u, v]
 
 
 def decode_operation(entry: Sequence) -> UpdateOperation:
@@ -80,13 +89,6 @@ def decode_operation(entry: Sequence) -> UpdateOperation:
     raise ValueError(f"unknown operation tag {tag!r}")
 
 
-# Enum member lookups are slow attribute reads on CPython 3.11 (a third of
-# operation_bytes' cost); the per-operation path compares against these.
-_INSERT_EDGE = UpdateKind.INSERT_EDGE
-_DELETE_EDGE = UpdateKind.DELETE_EDGE
-_INSERT_VERTEX = UpdateKind.INSERT_VERTEX
-
-
 def operation_bytes(operation: UpdateOperation) -> bytes:
     """The bytes one operation contributes to the stream fingerprint.
 
@@ -95,13 +97,13 @@ def operation_bytes(operation: UpdateOperation) -> bytes:
     wire form, and stable across sessions for the same reason.
     """
     kind = operation.kind
-    if kind is _INSERT_EDGE:
+    if kind is INSERT_EDGE:
         u, v = operation.edge
         return f"+e{u!r},{v!r}".encode()
-    if kind is _DELETE_EDGE:
+    if kind is DELETE_EDGE:
         u, v = operation.edge
         return f"-e{u!r},{v!r}".encode()
-    if kind is _INSERT_VERTEX:
+    if kind is INSERT_VERTEX:
         return f"+v{operation.vertex!r}{tuple(operation.neighbors)!r}".encode()
     return f"-v{operation.vertex!r}".encode()
 
@@ -185,6 +187,20 @@ class StreamCursor:
         for _ in islice(self, count):
             skipped += 1
         return skipped
+
+
+def reject_single_operation(operations: object, consumer: str) -> None:
+    """Raise :class:`~repro.exceptions.UpdateError` if ``operations`` is one operation.
+
+    An :class:`~repro.updates.operations.UpdateOperation` is a tuple, so a
+    consumer expecting a stream or a batch would otherwise iterate its four
+    fields as if they were operations.
+    """
+    if isinstance(operations, UpdateOperation):
+        raise UpdateError(
+            f"{consumer} takes a stream or batch of operations, got the single "
+            f"operation {operations}"
+        )
 
 
 def chunked(
@@ -303,7 +319,11 @@ def as_operation_stream(
     :class:`~repro.updates.streams.UpdateStream`) pass through unchanged —
     the thin adapter that lets list-based streams keep working everywhere
     the pipeline now expects the protocol.
+    A lone operation is refused with :class:`~repro.exceptions.UpdateError`:
+    it is a tuple, and would otherwise be read as a stream of its four
+    fields.
     """
+    reject_single_operation(operations, "as_operation_stream")
     if isinstance(operations, OperationStream) or hasattr(operations, "length_hint"):
         return operations  # type: ignore[return-value]
     if isinstance(operations, (list, tuple)):

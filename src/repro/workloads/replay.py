@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import CheckpointError, IntegrityError
 from repro.resilience.faults import CHECKPOINT_WRITE, trip
-from repro.resilience.integrity import embed_digest, verify_document
+from repro.resilience.integrity import sealed_text, verify_document
 from repro.workloads.snapshot import (
     algorithm_from_payload,
     algorithm_to_payload,
@@ -217,7 +217,7 @@ def save_checkpoint(
         "metadata": dict(metadata or {}),
         "algorithm": algorithm_to_payload(algorithm),
     }
-    text = json.dumps(embed_digest(document))
+    text = sealed_text(document)
     # Atomic replace: a crash mid-write (the exact scenario checkpoints
     # exist for) must never leave a truncated newest checkpoint shadowing
     # the intact older ones.  The ``checkpoint.write`` fault point fires

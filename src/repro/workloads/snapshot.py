@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.exceptions import GraphError, SnapshotError
 from repro.graphs.dynamic_graph import DynamicGraph, Vertex
 from repro.resilience.faults import SNAPSHOT_WRITE, trip
-from repro.resilience.integrity import embed_digest, verify_document
+from repro.resilience.integrity import sealed_text, verify_document
 
 PathLike = Union[str, Path]
 
@@ -319,7 +319,7 @@ def save_snapshot(algorithm, path: PathLike) -> None:
     parent directory is created.
     """
     path = Path(path)
-    text = json.dumps(embed_digest(algorithm_to_payload(algorithm)))
+    text = sealed_text(algorithm_to_payload(algorithm))
     half = len(text) // 2
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

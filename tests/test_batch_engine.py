@@ -23,6 +23,7 @@ slots mid-stream.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -30,9 +31,10 @@ from repro.core.framework import KSwapFramework
 from repro.core.one_swap import DyOneSwap
 from repro.core.two_swap import DyTwoSwap
 from repro.core.verification import find_j_swap, is_maximal_independent_set
+from repro.exceptions import UpdateError
 from repro.generators.random_graphs import gnm_random_graph
 from repro.updates.coalesce import coalesce_batch
-from repro.updates.operations import apply_update
+from repro.updates.operations import UpdateOperation, apply_update
 from repro.updates.streams import flash_crowd_stream, mixed_update_stream
 
 
@@ -187,6 +189,19 @@ class TestApplyBatchDirect:
             other.apply_batch([op])
         assert one.solution() == other.solution()
         assert other.stats.batches_applied == 10
+
+    def test_lone_operation_rejected(self):
+        # An operation is a 4-tuple: as a batch it would be its four fields.
+        graph = gnm_random_graph(12, 18, seed=8)
+        algo = DyOneSwap(graph.copy())
+        lone = UpdateOperation.delete_vertex(0)
+        with pytest.raises(UpdateError, match="apply_batch .* single operation"):
+            algo.apply_batch(lone)
+        for batch_size in (1, 64):
+            with pytest.raises(UpdateError, match="apply_stream .* single operation"):
+                algo.apply_stream(lone, batch_size=batch_size)
+        assert algo.graph == graph
+        assert algo.stats.batches_applied == algo.stats.updates_processed == 0
 
     def test_coalesce_false_skips_cancellation_but_matches_graph(self):
         graph = gnm_random_graph(14, 22, seed=6)

@@ -10,7 +10,11 @@ byte-identical to the pre-call state.  These tests assert that equality
 over every observable surface (graph payload, edge count, membership
 bytes, flat counts, statistics) for both state implementations.
 
-The second half pins the adjacency-symmetry bugfix: a one-sided adjacency
+A per-update vertex insertion is held to the same contract: its
+neighbours are validated before the vertex is added, so a rejected insert
+leaves every engine mode and the bare graph byte-identical.
+
+The last part pins the adjacency-symmetry bugfix: a one-sided adjacency
 entry now raises :class:`~repro.exceptions.GraphError` where the corruption
 is observed instead of silently double-discarding.
 """
@@ -18,6 +22,7 @@ is observed instead of silently double-discarding.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -28,8 +33,15 @@ from repro.exceptions import (
     EdgeNotFoundError,
     GraphError,
     SelfLoopError,
+    UpdateError,
+    VertexExistsError,
+    VertexNotFoundError,
 )
+from repro.experiments.runner import create_algorithm
 from repro.graphs.dynamic_graph import DynamicGraph
+from repro.service.tenant import engine_digest
+from repro.updates.operations import UpdateOperation, apply_update
+from repro.workloads.snapshot import graph_to_payload
 
 STATE_CLASSES = (MISState, LazyMISState)
 
@@ -147,6 +159,81 @@ class TestRejectedBatchesLeaveStateUntouched:
         assert graph.slot_of(1) in bumped
         assert state.count(1) == 2  # neighbours 0 and 4 both in solution
         state.check_invariants()
+
+
+def _churned_graph():
+    """Vertices {1, 4} plus a free slot (9 was added, then removed)."""
+    graph = DynamicGraph()
+    for vertex in (1, 9, 4):
+        graph.add_vertex(vertex)
+    graph.remove_vertex(9)
+    return graph
+
+
+#: (case, neighbours of the inserted vertex 2, expected error); the valid
+#: leading neighbours are what a non-atomic insert would half-apply.
+REJECTED_VERTEX_INSERTS = [
+    ("missing-neighbor", [1, 4, 3], VertexNotFoundError),
+    ("duplicate-neighbor", [1, 4, 1], EdgeExistsError),
+    ("self-neighbor", [1, 4, 2], SelfLoopError),
+]
+
+
+class TestRejectedVertexInsertLeavesEngineUntouched:
+    @pytest.mark.parametrize("algorithm", ["DyOneSwap", "DyOneSwap+lazy", "DyTwoSwap"])
+    @pytest.mark.parametrize(
+        "case, neighbors, error",
+        REJECTED_VERTEX_INSERTS,
+        ids=[case[0] for case in REJECTED_VERTEX_INSERTS],
+    )
+    def test_per_update_insert_is_a_no_op(self, algorithm, case, neighbors, error):
+        engine = create_algorithm(algorithm, _churned_graph())
+        digest = engine_digest(engine)
+        payload = json.dumps(graph_to_payload(engine.graph), sort_keys=True)
+        with pytest.raises(error):
+            engine.apply_update(UpdateOperation.insert_vertex(2, neighbors))
+        assert engine_digest(engine) == digest
+        assert json.dumps(graph_to_payload(engine.graph), sort_keys=True) == payload
+        engine.graph.check_consistency()
+        # The engine stays usable: the corrected insert lands as in a fresh one.
+        reference = create_algorithm(algorithm, _churned_graph())
+        for target in (engine, reference):
+            target.apply_update(UpdateOperation.insert_vertex(2, [1, 4]))
+        assert engine_digest(engine) == engine_digest(reference)
+
+    @pytest.mark.parametrize(
+        "case, neighbors, error",
+        REJECTED_VERTEX_INSERTS,
+        ids=[case[0] for case in REJECTED_VERTEX_INSERTS],
+    )
+    def test_baseline_insert_is_a_no_op(self, case, neighbors, error):
+        # The DGDIS baselines take no snapshot, so compare graph and solution.
+        engine = create_algorithm("DGOneDIS", _churned_graph())
+        payload = graph_to_payload(engine.graph)
+        solution = engine.solution()
+        with pytest.raises(error):
+            engine.apply_update(UpdateOperation.insert_vertex(2, neighbors))
+        assert graph_to_payload(engine.graph) == payload
+        assert engine.solution() == solution
+        engine.graph.check_consistency()
+
+    @pytest.mark.parametrize(
+        "case, neighbors, error",
+        REJECTED_VERTEX_INSERTS,
+        ids=[case[0] for case in REJECTED_VERTEX_INSERTS],
+    )
+    def test_graph_level_apply_update_is_a_no_op(self, case, neighbors, error):
+        graph = _churned_graph()
+        payload = graph_to_payload(graph)
+        with pytest.raises(UpdateError):
+            apply_update(graph, UpdateOperation.insert_vertex(2, neighbors))
+        assert graph_to_payload(graph) == payload
+        graph.check_consistency()
+
+    def test_existing_vertex_reported_before_neighbors(self):
+        graph = _churned_graph()
+        with pytest.raises(VertexExistsError):
+            graph.new_vertex_neighbor_slots(1, [3])
 
 
 class TestAdjacencySymmetryIsEnforced:

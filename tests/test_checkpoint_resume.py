@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.core.one_swap import DyOneSwap
-from repro.exceptions import CheckpointError, ExperimentError
+from repro.exceptions import CheckpointError, ExperimentError, IntegrityError
 from repro.experiments import (
     load_temporal_workload,
     run_algorithm,
@@ -21,7 +21,8 @@ from repro.experiments import (
 )
 from repro.experiments.runner import create_algorithm
 from repro.generators.random_graphs import gnm_random_graph
-from repro.resilience.integrity import embed_digest
+from repro.resilience.integrity import embed_digest, sealed_text
+from repro.service.tenant import engine_digest
 from repro.updates.streams import UpdateStream, mixed_update_stream
 from repro.workloads import (
     CheckpointConfig,
@@ -34,7 +35,7 @@ from repro.workloads.replay import (
     QUARANTINE_DIRNAME,
     latest_valid_checkpoint,
 )
-from repro.workloads.snapshot import graph_to_payload
+from repro.workloads.snapshot import graph_to_payload, load_snapshot, save_snapshot
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +261,88 @@ class TestFormatVersion:
         assert survivor is not None and survivor != path
         assert not path.exists()
         assert (tmp_path / QUARANTINE_DIRNAME / path.name).exists()
+
+
+def _flip_first_digit_after(text, marker):
+    """``text`` with one byte changed: the first digit after ``marker``.
+
+    The JSON stays valid, so only the embedded digest can catch it.
+    """
+    at = text.index(marker) + len(marker)
+    while not text[at].isdigit():
+        at += 1
+    flipped = "1" if text[at] != "1" else "2"
+    return text[:at] + flipped + text[at + 1 :]
+
+
+class TestFileLayout:
+    """Checkpoints and snapshots are written as canonical JSON text with the
+    digest spliced in; files in the earlier layout,
+    ``json.dumps(embed_digest(document))``, still load."""
+
+    def test_checkpoint_is_canonical_sealed_text(self, temporal_workload, tmp_path):
+        graph, stream = temporal_workload
+        run_algorithm(
+            "DyOneSwap", graph, stream, checkpoint=CheckpointConfig(tmp_path, every=200)
+        )
+        text = latest_checkpoint(tmp_path, "DyOneSwap").read_text()
+        assert text == sealed_text(json.loads(text))
+
+    def test_earlier_layout_checkpoint_loads_and_resumes(
+        self, temporal_workload, tmp_path
+    ):
+        graph, stream = temporal_workload
+        config = CheckpointConfig(directory=tmp_path, every=150)
+        reference = run_algorithm(
+            "DyOneSwap", graph, stream, dataset="t", checkpoint=config
+        )
+        path = find_checkpoints(tmp_path, "DyOneSwap")[1][1]
+        canonical = load_checkpoint(path)
+        path.write_text(json.dumps(embed_digest(json.loads(path.read_text()))))
+        assert '", "' in path.read_text()  # the earlier, spaced layout
+        earlier = load_checkpoint(path)
+        assert earlier.payload == canonical.payload
+        assert earlier.stream_identity == canonical.stream_identity
+        resumed = run_algorithm(
+            "DyOneSwap", graph, stream, dataset="t", resume_from=path
+        )
+        assert _measurement_fingerprint(resumed) == _measurement_fingerprint(
+            reference
+        )
+
+    def test_earlier_layout_snapshot_loads(self, temporal_workload, tmp_path):
+        graph, stream = temporal_workload
+        engine = create_algorithm("DyOneSwap", graph.copy())
+        engine.apply_stream(list(stream)[:200])
+        path = tmp_path / "engine.snapshot.json"
+        save_snapshot(engine, path)
+        assert path.read_text() == sealed_text(json.loads(path.read_text()))
+        path.write_text(json.dumps(embed_digest(json.loads(path.read_text()))))
+        restored = load_snapshot(path)
+        assert engine_digest(restored) == engine_digest(engine)
+
+    def test_flipped_byte_is_caught_and_quarantined(self, temporal_workload, tmp_path):
+        graph, stream = temporal_workload
+        run_algorithm(
+            "DyOneSwap", graph, stream, checkpoint=CheckpointConfig(tmp_path, every=200)
+        )
+        checkpoints = find_checkpoints(tmp_path, "DyOneSwap")
+        newest, fallback = checkpoints[-1][1], checkpoints[-2][1]
+        newest.write_text(_flip_first_digit_after(newest.read_text(), '"algorithm":'))
+        json.loads(newest.read_text())  # still valid JSON
+        with pytest.raises(IntegrityError):
+            load_checkpoint(newest)
+        with pytest.warns(RuntimeWarning, match="quarantined corrupt checkpoint"):
+            assert latest_valid_checkpoint(tmp_path, "DyOneSwap") == fallback
+        assert (tmp_path / QUARANTINE_DIRNAME / newest.name).exists()
+
+    def test_flipped_byte_in_snapshot_is_caught(self, tmp_path):
+        engine = create_algorithm("DyOneSwap", gnm_random_graph(30, 60, seed=2))
+        path = tmp_path / "engine.snapshot.json"
+        save_snapshot(engine, path)
+        path.write_text(_flip_first_digit_after(path.read_text(), '"graph":'))
+        with pytest.raises(IntegrityError):
+            load_snapshot(path)
 
 
 class TestRunCompetitionCheckpointing:

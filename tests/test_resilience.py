@@ -56,6 +56,7 @@ from repro.resilience import (
     embed_digest,
     inject_faults,
     install,
+    sealed_text,
     supervised_replay,
     trip,
     uninstall,
@@ -238,6 +239,19 @@ class TestIntegrity:
         document["value"] = 8
         with pytest.raises(IntegrityError, match="failed its integrity check"):
             verify_document(document, source="unit-test")
+
+    @pytest.mark.parametrize(
+        "document", [{}, {"b": [1, "é"], "a": None}, {"x": 1, "sha256": "stale"}]
+    )
+    def test_sealed_text_is_canonical_text_plus_digest(self, document):
+        text = sealed_text(document)
+        loaded = json.loads(text)
+        assert verify_document(loaded) is loaded
+        assert loaded == embed_digest(dict(document))
+        assert text.startswith(json.dumps(
+            {k: v for k, v in document.items() if k != "sha256"},
+            sort_keys=True, separators=(",", ":"),
+        )[:-1])
 
     def test_missing_digest_policy(self):
         with pytest.raises(IntegrityError, match="no integrity digest"):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import UpdateError
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.updates.operations import UpdateOperation
 from repro.updates.protocol import (
@@ -173,6 +174,29 @@ class TestOneChain:
         tips = {chain_fingerprint(EMPTY_FINGERPRINT, [make(x)]) for x in (1, "1", (1,))}
         assert len(tips) == 3
 
+    def test_golden_tip(self):
+        # Pinned hex: checkpoints and service data directories store this
+        # chain, so any change to operation_bytes orphans them.
+        U = UpdateOperation
+        ops = [
+            U.insert_vertex(1),
+            U.insert_vertex("a", [1]),
+            U.insert_vertex((2, 3), [1, "a"]),
+            U.insert_edge(1, (2, 3)),
+            U.insert_edge("a", "b"),
+            U.delete_edge(1, "a"),
+            U.delete_edge((2, 3), 1),
+            U.delete_vertex("a"),
+            U.delete_vertex((2, 3)),
+            U.delete_vertex(1),
+            U.insert_vertex("1", [(1,), 1]),
+        ]
+        golden = "d39deda14fc2f2c80c263d62a89a501097a2403ebe21c94ca1cc460998a46aad"
+        assert chain_fingerprint(EMPTY_FINGERPRINT, ops) == golden
+        cursor = StreamCursor(ops)
+        assert len(list(cursor)) == len(ops)
+        assert cursor.fingerprint == golden
+
 
 class TestChunked:
     def test_windows_cover_stream_exactly(self, operations):
@@ -224,6 +248,11 @@ class TestAdapters:
         assert not one_shot.replayable()
         sized = as_operation_stream(list(operations))
         assert sized.replayable()
+
+    def test_lone_operation_rejected(self):
+        # An operation is a 4-tuple: adapting it would yield its fields.
+        with pytest.raises(UpdateError, match="single operation"):
+            as_operation_stream(UpdateOperation.insert_edge(1, 2))
 
     def test_lazy_stream_replayable_via_factory(self, operations):
         stream = LazyOperationStream(
